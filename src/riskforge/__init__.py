@@ -25,6 +25,7 @@ from .calculus import (
     propagate,
     propagate_leadsto,
 )
+from .engine import CompiledModel
 from .dsl import DslError, DslSemanticError, DslSyntaxError, SourceSpan, from_json, parse, serialize, to_json
 from .intervals import Interval
 from .model import (

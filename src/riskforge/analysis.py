@@ -5,16 +5,14 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 
-from .calculus import Alternative, propagate
+from .calculus import Alternative
+from .engine import DEFAULT_SUBSET_CAP, CompiledModel
 from .intervals import Interval
 from .model import RiskModel, VertexKind
 
 
 class AnalysisError(Exception):
     pass
-
-
-DEFAULT_SUBSET_CAP = 20
 
 
 @dataclass(frozen=True)
@@ -74,11 +72,20 @@ def enumerate_states(
             f"{len(cms)} applicable countermeasures exceed the cap of {cap}; "
             f"filter the model down per risk before enumerating"
         )
+    compiled = CompiledModel(model, cms, outputs=[risk])
     states = []
-    for mask in range(2 ** len(cms)):
-        subset = frozenset(cms[i] for i in range(len(cms)) if mask >> i & 1)
-        res = propagate(model, subset)[risk]
-        states.append(RiskState(risk, subset, res.frequency, res.consequence, index=mask))
+    for masks, columns in compiled.chunks():
+        rows = zip(masks.tolist(), *(c.tolist() for c in columns[risk]))
+        for mask, f_lo, f_hi, c_lo, c_hi in rows:
+            states.append(
+                RiskState(
+                    risk,
+                    compiled.subset(mask),
+                    Interval(f_lo, f_hi),
+                    Interval(c_lo, c_hi),
+                    index=mask,
+                )
+            )
     return states
 
 
@@ -98,12 +105,19 @@ def build_decision_diagram(states: list[RiskState]) -> DecisionDiagram:
             pruned.append(s)
         else:
             kept.append(s)
+    # Looking up each state's one-step supersets keeps this O(n 2^n). Edges
+    # are ordered by (from, to) position in the kept list, as DOT output expects.
+    positions: dict[Alternative, list[int]] = {}
+    for j, s in enumerate(kept):
+        positions.setdefault(s.alternative, []).append(j)
+    universe = frozenset().union(*positions)
     edges = []
-    for s in kept:
-        for t in kept:
-            added = t.alternative - s.alternative
-            if len(added) == 1 and s.alternative <= t.alternative:
-                edges.append((s.index, t.index, next(iter(added))))
+    for i, s in enumerate(kept):
+        for cm in universe - s.alternative:
+            for j in positions.get(s.alternative | {cm}, ()):
+                edges.append((i, j, cm))
+    edges.sort()
+    edges = [(kept[i].index, kept[j].index, cm) for i, j, cm in edges]
     return DecisionDiagram(tuple(kept), tuple(edges), initial, tuple(pruned))
 
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .intervals import Interval
 from .model import (
@@ -13,10 +13,13 @@ from .model import (
     TreatsRel,
     Vertex,
     VertexKind,
+    is_known_valid,
+    mark_valid,
     validate,
 )
 
 Alternative = frozenset
+EXCLUSIVE_REL_TOL = 1e-9  # relative agreement required of exclusive contributions
 
 
 class CalculusError(Exception):
@@ -27,9 +30,6 @@ class CalculusError(Exception):
 class VertexResult:
     frequency: Interval  # occurrences per base period
     consequence: Interval
-
-
-PropagationResult = Mapping[str, VertexResult]
 
 
 def effective_effect(
@@ -75,7 +75,7 @@ def combine_incoming(
     contributions: list[Interval],
     policy: MergePolicy,
     vertex_id: str = "?",
-    rel_tol: float = 1e-9,
+    rel_tol: float = EXCLUSIVE_REL_TOL,
 ) -> Interval:
     """Merge the frequency contributions arriving at one vertex.
 
@@ -107,11 +107,14 @@ def combine_incoming(
 
 
 def _check_valid(model: RiskModel):
+    if is_known_valid(model):
+        return
     errors = [d for d in validate(model) if d.is_error]
     if errors:
         raise CalculusError(
             "cannot propagate over an invalid model: " + "; ".join(d.message for d in errors)
         )
+    mark_valid(model)
 
 
 def _topological_order(model: RiskModel) -> list[Vertex]:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -23,14 +22,6 @@ def _load(path: str, coras: bool) -> RiskModel:
     if path.endswith(".json") or text.lstrip().startswith("{"):
         return dsl.from_json(text, coras=coras)
     return dsl.parse(text, coras=coras)
-
-
-def _threads_cap() -> int:
-    # 0 means "auto"; the library evaluates sequentially, so this is only a cap.
-    try:
-        return max(0, int(os.environ.get("RISKFORGE_THREADS", "0")))
-    except ValueError:
-        return 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -144,7 +135,7 @@ def _cmd_analyze(args, coras: bool) -> int:
 def _cmd_synergy(args, coras: bool) -> int:
     model = _load(args.file, coras)
     rec = synergy.recommend(model, budget=args.budget, pessimistic=args.pessimistic)
-    ranked = synergy.find_alternatives(model, pessimistic=args.pessimistic)
+    ranked = rec.ranking
     if args.format == "csv":
         sys.stdout.write(synergy.export_ranking_csv(ranked))
     else:
@@ -203,7 +194,6 @@ def run(argv: list[str]) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code else EXIT_OK
-    _threads_cap()
     try:
         if args.command == "validate":
             return _cmd_validate(args.file, args.coras)

@@ -28,6 +28,7 @@ from .model import (
     TreatsRel,
     Vertex,
     VertexKind,
+    mark_valid,
     validate,
 )
 
@@ -434,7 +435,7 @@ def parse(text: str, coras: bool = False) -> RiskModel:
         ident = re.search(r"'([A-Za-z_][A-Za-z0-9_]*)'", first)
         span = b.ids.get(ident.group(1)) if ident else None
         raise DslSemanticError("; ".join(d.message for d in errors), span or SourceSpan(1, 1))
-    return canonical(model)
+    return mark_valid(canonical(model))
 
 
 def _fmt_num(x: float) -> str:
@@ -730,4 +731,4 @@ def from_json(text: str, coras: bool = False) -> RiskModel:
     errors = [d for d in validate(model, coras=coras) if d.is_error]
     if errors:
         raise DslSemanticError("; ".join(d.message for d in errors))
-    return canonical(model)
+    return mark_valid(canonical(model))

@@ -381,6 +381,21 @@ def validate(model: RiskModel, coras: bool = False) -> list[Diagnostic]:
     return diags
 
 
+def mark_valid(model: RiskModel) -> RiskModel:
+    """Remember on the model that ``validate`` found no errors.
+
+    Models are immutable, so the verdict holds for the object's lifetime;
+    ``dataclasses.replace`` yields a new, unmarked model. A pass in CORAS mode
+    implies a pass without it, so the mark means "valid outside CORAS mode".
+    """
+    object.__setattr__(model, "_valid", True)
+    return model
+
+
+def is_known_valid(model: RiskModel) -> bool:
+    return getattr(model, "_valid", False)
+
+
 def normalize(model: RiskModel, target: Period) -> RiskModel:
     """Rescale every rate and expenditure to the target period.
 

@@ -9,7 +9,7 @@ from typing import Callable
 
 import numpy as np
 
-from .calculus import Alternative, effective_effect, propagate
+from .calculus import Alternative, _topological_order, effective_effect, propagate
 from .intervals import Interval
 from .model import (
     Countermeasure,
@@ -55,8 +55,11 @@ class ImpactMap:
             self._table[subset] = value
         for cs, value in self._table.items():
             for c in self.effects:
-                if c not in cs:
-                    assert self._table[cs | {c}] <= value + 1e-12, "impact map not antitone"
+                if c not in cs and self._table[cs | {c}] > value + 1e-12:
+                    raise OracleError(
+                        f"impact map not antitone: adding {c!r} to {sorted(cs)} "
+                        f"raises the consequence above {value:g}"
+                    )
 
     def __call__(self, cs: frozenset) -> float:
         return self._table[frozenset(c for c in cs if c in self.effects)]
@@ -156,7 +159,7 @@ def generate_history(
         raise OracleError("horizon must be positive")
     rng = np.random.default_rng(seed)
 
-    topo = _topo_core(model)
+    topo = _topological_order(model)
     impact_maps = {v.id: _impact_map(model, v.id) for v in topo}
 
     all_times: list[np.ndarray] = []
@@ -218,12 +221,6 @@ def generate_history(
         for i in order
     )
     return History(events, horizon)
-
-
-def _topo_core(model: RiskModel):
-    from .calculus import _topological_order
-
-    return _topological_order(model)
 
 
 def _impact_map(model: RiskModel, vertex_id: str) -> ImpactMap:

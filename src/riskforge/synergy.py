@@ -4,19 +4,20 @@ rank by overall cost, recommend."""
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
+
+import numpy as np
 
 from .analysis import RiskState
 from .calculus import Alternative, propagate
+from .engine import DEFAULT_SUBSET_CAP, CompiledModel
+from .intervals import Interval
 from .model import RiskModel
 
 
 class SynergyError(Exception):
     pass
-
-
-DEFAULT_SUBSET_CAP = 20
 
 
 @dataclass(frozen=True)
@@ -46,6 +47,7 @@ class Recommendation:
     best: Optional[GlobalAlternative] = None
     budget: Optional[float] = None
     report: tuple[RiskGap, ...] = ()
+    ranking: tuple[GlobalAlternative, ...] = field(default=(), repr=False)
 
 
 def risk_cost(state: RiskState, pessimistic: bool = False) -> float:
@@ -71,8 +73,9 @@ def overall_cost(model: RiskModel, ca: Alternative, pessimistic: bool = False) -
     everything per the model's base period."""
     states = _states_under(model, ca)
     total = sum(risk_cost(s, pessimistic) for s in states.values())
+    # Sorted ids make the float sum independent of frozenset (hash) order.
     total += sum(
-        model.countermeasure(cid).expenditure_per(model.base_period) for cid in ca
+        model.countermeasure(cid).expenditure_per(model.base_period) for cid in sorted(ca)
     )
     return total
 
@@ -139,43 +142,69 @@ def find_alternatives(
 
     Ties break on smaller set size, then lexicographic countermeasure ids.
     """
+    return _search(model, cap, pessimistic)[0]
+
+
+def _search(
+    model: RiskModel, cap: int, pessimistic: bool
+) -> tuple[list[GlobalAlternative], tuple[RiskGap, ...]]:
+    """One pass over every subset: the ranking of the acceptable alternatives
+    and, per risk, the best residual any subset reaches (the gap report)."""
+    n = len(model.countermeasures)
+    if n > cap:
+        raise SynergyError(f"{n} countermeasures exceed the enumeration cap of {cap}")
+    risks = [v.id for v in model.incidents]
+    compiled = CompiledModel(model, outputs=risks)
     ranked = []
-    for ca in _all_subsets(model, cap):
-        states = _states_under(model, ca)
-        if not all(_verdicts(model, states, pessimistic, warn=False).values()):
-            continue
-        cost = sum(risk_cost(s, pessimistic) for s in states.values()) + sum(
-            model.countermeasure(cid).expenditure_per(model.base_period) for cid in ca
-        )
-        ranked.append(GlobalAlternative(ca, states, cost))
+    best: dict[str, tuple[float, float]] = {}
+    for masks, columns in compiled.chunks():
+        cost = 0.0
+        feasible = np.ones(len(masks), dtype=bool)
+        for risk in risks:
+            f_lo, f_hi, c_lo, c_hi = columns[risk]
+            if pessimistic:
+                freq, r_cost = f_hi, f_hi * c_hi
+            else:
+                freq = 0.5 * (f_lo + f_hi)
+                r_cost = freq * (0.5 * (c_lo + c_hi))
+            cost = cost + r_cost
+            max_f, max_c = compiled.bounds.get(risk, (None, None))
+            if max_f is not None:
+                feasible &= freq <= max_f
+            if max_c is not None:
+                feasible &= r_cost <= max_c
+            # argmin returns the first of equal minima (0.0 before -0.0 or the
+            # reverse), as a running min() over the subsets in mask order does.
+            chunk_best = (float(freq[freq.argmin()]), float(r_cost[r_cost.argmin()]))
+            if risk in best:
+                chunk_best = tuple(map(min, best[risk], chunk_best))
+            best[risk] = chunk_best
+        cost = cost + compiled.expenditure(masks)
+        ranked += _alternatives(compiled, masks, columns, cost, risks, np.flatnonzero(feasible))
     ranked.sort(
         key=lambda g: (g.overall_cost, len(g.countermeasures), tuple(sorted(g.countermeasures)))
     )
-    return ranked
+    report = tuple(
+        RiskGap(risk, *best[risk], *compiled.bounds.get(risk, (None, None)))
+        for risk in sorted(best)
+    )
+    return ranked, report
 
 
-def _gap_report(model: RiskModel, cap: int, pessimistic: bool) -> tuple[RiskGap, ...]:
-    by_risk = {a.risk: a for a in model.criteria}
-    best_freq: dict[str, float] = {}
-    best_cost: dict[str, float] = {}
-    for ca in _all_subsets(model, cap):
-        for risk, state in _states_under(model, ca).items():
-            freq = state.frequency.hi if pessimistic else state.frequency.midpoint
-            best_freq[risk] = min(best_freq.get(risk, float("inf")), freq)
-            best_cost[risk] = min(
-                best_cost.get(risk, float("inf")), risk_cost(state, pessimistic)
+def _alternatives(compiled, masks, columns, cost, risks, keep) -> list[GlobalAlternative]:
+    """GlobalAlternatives for the kept columns, read out once per column array."""
+    values = {risk: [c[keep].tolist() for c in columns[risk]] for risk in risks}
+    alternatives = []
+    for j, (mask, total) in enumerate(zip(masks[keep].tolist(), cost[keep].tolist())):
+        ca = compiled.subset(mask)
+        states = {}
+        for risk in risks:
+            f_lo, f_hi, c_lo, c_hi = values[risk]
+            states[risk] = RiskState(
+                risk, ca, Interval(f_lo[j], f_hi[j]), Interval(c_lo[j], c_hi[j])
             )
-    gaps = []
-    for risk in sorted(best_freq):
-        crit = by_risk.get(risk)
-        max_f = None
-        if crit is not None and crit.max_frequency is not None:
-            max_f = crit.max_frequency.per_period(model.base_period).midpoint
-        max_c = None
-        if crit is not None and crit.max_risk_cost is not None:
-            max_c = crit.max_risk_cost * model.base_period.days / crit.max_risk_cost_per.days
-        gaps.append(RiskGap(risk, best_freq[risk], best_cost[risk], max_f, max_c))
-    return tuple(gaps)
+        alternatives.append(GlobalAlternative(ca, states, total))
+    return alternatives
 
 
 def recommend(
@@ -184,14 +213,17 @@ def recommend(
     cap: int = DEFAULT_SUBSET_CAP,
     pessimistic: bool = False,
 ) -> Recommendation:
-    """Pick the cheapest acceptable global alternative, or explain why none fits."""
-    ranked = find_alternatives(model, cap, pessimistic)
+    """Pick the cheapest acceptable global alternative, or explain why none fits.
+
+    The full ranking it was picked from comes along as ``ranking``.
+    """
+    ranked, report = _search(model, cap, pessimistic)
     if not ranked:
-        return Recommendation("no_feasible", report=_gap_report(model, cap, pessimistic))
-    best = ranked[0]
+        return Recommendation("no_feasible", report=report)
+    best, ranking = ranked[0], tuple(ranked)
     if budget is not None and best.overall_cost > budget:
-        return Recommendation("over_budget", best=best, budget=budget)
-    return Recommendation("recommended", best=best)
+        return Recommendation("over_budget", best=best, budget=budget, ranking=ranking)
+    return Recommendation("recommended", best=best, ranking=ranking)
 
 
 def export_ranking_csv(ranked: list[GlobalAlternative]) -> str:

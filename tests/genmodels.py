@@ -42,8 +42,14 @@ def random_model(
     allow_overlapping: bool = False,
     allow_depends: bool = True,
     with_criteria: bool = True,
+    exclusive: bool = False,
 ) -> RiskModel:
-    """A random valid DAG-shaped model; every incident reachable from a threat."""
+    """A random valid DAG-shaped model; every incident reachable from a threat.
+
+    ``exclusive`` adds a mutually exclusive fan-in whose contributions agree
+    under every alternative (see ``_exclusive_gadget``). It is off by default
+    and draws nothing from ``rng`` when off.
+    """
     n_threats = int(rng.integers(1, 3))
     n_scen = int(rng.integers(1, max_scenarios + 1))
     n_inc = int(rng.integers(1, max_incidents + 1))
@@ -123,6 +129,11 @@ def random_model(
                     )
                 )
 
+    if exclusive:
+        _exclusive_gadget(
+            rng, interval, scenarios, incidents, cms, vertices, leadsto, treats, depends
+        )
+
     criteria = []
     if with_criteria:
         for r in incidents:
@@ -157,6 +168,50 @@ def random_model(
     )
     assert not any(d.is_error for d in validate(model)), validate(model)
     return model
+
+
+def _exclusive_gadget(rng, interval, scenarios, incidents, cms, vertices, leadsto, treats, depends):
+    """Twin scenarios XA and XB fed alike from one scenario, merged at the
+    mutually exclusive XE, which leads to an incident.
+
+    A countermeasure may treat both twins with the same effect, weakened by
+    the same dependency, so the two contributions at XE stay bit-identical
+    under every alternative; another may treat XE itself.
+    """
+    src = scenarios[int(rng.integers(0, len(scenarios)))]
+    into_twins = _value(rng, 0.1, 1.0, interval)
+    into_xe = _value(rng, 0.1, 1.0, interval)
+    vertices += [
+        Vertex("XA", VertexKind.THREAT_SCENARIO),
+        Vertex("XB", VertexKind.THREAT_SCENARIO),
+        Vertex("XE", VertexKind.THREAT_SCENARIO, merge_policy=MergePolicy.EXCLUSIVE),
+    ]
+    leadsto += [
+        LeadsToRel(src, "XA", into_twins),
+        LeadsToRel(src, "XB", into_twins),
+        LeadsToRel("XA", "XE", into_xe),
+        LeadsToRel("XB", "XE", into_xe),
+        LeadsToRel(
+            "XE", incidents[int(rng.integers(0, len(incidents)))], _value(rng, 0.1, 1.0, interval)
+        ),
+    ]
+    if not cms:
+        return
+    twin_cm = cms[int(rng.integers(0, len(cms)))]
+    f_eff, c_eff = _value(rng, 0.0, 1.0, interval), _value(rng, 0.0, 1.0, interval)
+    treats += [TreatsRel(twin_cm, "XA", f_eff, c_eff), TreatsRel(twin_cm, "XB", f_eff, c_eff)]
+    if len(cms) >= 2:
+        others = [c for c in cms if c != twin_cm]
+        dep = others[int(rng.integers(0, len(others)))]
+        f_dep, c_dep = _value(rng, 0.0, 1.0, interval), _value(rng, 0.0, 1.0, interval)
+        depends += [
+            DependsRel(dep, twin_cm, "XA", f_dep, c_dep),
+            DependsRel(dep, twin_cm, "XB", f_dep, c_dep),
+        ]
+    xe_cm = cms[int(rng.integers(0, len(cms)))]
+    treats.append(
+        TreatsRel(xe_cm, "XE", _value(rng, 0.0, 1.0, interval), _value(rng, 0.0, 1.0, interval))
+    )
 
 
 def sample_point_model(model: RiskModel, rng: np.random.Generator) -> RiskModel:

@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from riskforge import (
+    DecisionDiagram,
     applicable_countermeasures,
     build_decision_diagram,
     enumerate_states,
@@ -143,3 +146,57 @@ def test_export_csv(ehealth):
     assert lines[0] == "state,alternative,frequency,consequence"
     assert lines[1] == "S0,,26.4,5000"
     assert len(lines) == 9
+
+
+def _pairwise_diagram(states):
+    """The original O(4^n) construction: compare every pair of kept states."""
+    initial = next(s for s in states if not s.alternative)
+    kept, pruned = [], []
+    for s in states:
+        if (
+            s is not initial
+            and s.frequency.midpoint > initial.frequency.midpoint
+            and s.consequence.midpoint > initial.consequence.midpoint
+        ):
+            pruned.append(s)
+        else:
+            kept.append(s)
+    edges = []
+    for s in kept:
+        for t in kept:
+            added = t.alternative - s.alternative
+            if len(added) == 1 and s.alternative <= t.alternative:
+                edges.append((s.index, t.index, next(iter(added))))
+    return tuple(kept), tuple(edges), initial, tuple(pruned)
+
+
+def _same_diagram(states):
+    diagram = build_decision_diagram(states)
+    got = (diagram.states, diagram.edges, diagram.initial, diagram.pruned)
+    assert got == _pairwise_diagram(states)
+    return diagram
+
+
+def test_decision_diagram_matches_pairwise_construction(ehealth):
+    states = enumerate_states(ehealth, "LMD")
+    dot = export_dot(_same_diagram(states))
+    assert dot == export_dot(DecisionDiagram(*_pairwise_diagram(states)))
+    rng = np.random.default_rng(31)
+    pruned_seen = 0
+    for _ in range(40):
+        m = random_model(rng, interval=bool(rng.random() < 0.5), max_cms=5)
+        for risk in (v.id for v in m.incidents):
+            states = enumerate_states(m, risk)
+            _same_diagram(states)
+            # Shuffled and thinned lists, and states worse than the untreated
+            # one, exercise list-order edges and pruning.
+            order = rng.permutation(len(states))
+            mixed = [states[i] for i in order if i == 0 or rng.random() < 0.8]
+            worse = [
+                replace(s, frequency=s.frequency.scale(3.0), consequence=s.consequence.scale(2.0))
+                if s.alternative and rng.random() < 0.3
+                else s
+                for s in mixed
+            ]
+            pruned_seen += len(_same_diagram(worse).pruned)
+    assert pruned_seen > 0

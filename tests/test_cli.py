@@ -164,3 +164,30 @@ def test_threads_env_var_tolerated(ehealth_path, monkeypatch, capsys):
     assert run(["validate", ehealth_path]) == 0
     monkeypatch.setenv("RISKFORGE_THREADS", "bogus")
     assert run(["validate", ehealth_path]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["synergy", "--format", "json"], ["analyze", "--risk", "LMD", "--format", "dot"]],
+)
+def test_one_validation_and_one_enumeration_per_request(ehealth_path, monkeypatch, argv, capsys):
+    from riskforge import calculus, dsl, engine, synergy
+
+    calls = {"validate": 0, "propagate": 0, "chunks": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(dsl, "validate", counting("validate", dsl.validate))
+    monkeypatch.setattr(calculus, "validate", counting("validate", calculus.validate))
+    monkeypatch.setattr(calculus, "propagate", counting("propagate", calculus.propagate))
+    monkeypatch.setattr(synergy, "propagate", counting("propagate", synergy.propagate))
+    monkeypatch.setattr(
+        engine.CompiledModel, "chunks", counting("chunks", engine.CompiledModel.chunks)
+    )
+    assert run([argv[0], ehealth_path, *argv[1:]]) == 0
+    assert calls == {"validate": 1, "propagate": 0, "chunks": 1}

@@ -220,3 +220,9 @@ def test_z_scores_centered_over_seeds():
         check_rule("leads_to", m, runs=20, horizon=300.0, seed=s).z for s in range(8)
     ]
     assert abs(float(np.mean(zs))) < 1.0
+
+
+def test_impact_map_rejects_a_consequence_increase():
+    # A negative effect raises the consequence; the check must survive python -O.
+    with pytest.raises(OracleError, match="not antitone"):
+        ImpactMap(100.0, {"A": 0.5, "B": -0.25})

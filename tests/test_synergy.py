@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import riskforge
 
 from riskforge import (
     Frequency,
@@ -147,3 +153,27 @@ def test_pessimistic_uses_upper_endpoints():
         m = random_model(rng, interval=True, with_criteria=False)
         for ca in _all_subsets(m, cap=20)[:4]:
             assert overall_cost(m, ca, pessimistic=True) >= overall_cost(m, ca) - 1e-9
+
+
+def test_overall_cost_independent_of_hash_seed():
+    # Twelve expenditures whose float sum depends on the order of addition;
+    # iterating the frozenset would make that order depend on PYTHONHASHSEED.
+    code = """
+from riskforge import parse, overall_cost
+cms = "".join(
+    f"countermeasure C{i} cost {cost}:1y\\n"
+    for i, cost in enumerate([0.1, 0.2, 0.3, 1e3, 7.7, 0.07, 13.37, 99.99, 0.003, 1.1, 250.5, 3.3333])
+)
+model = parse('riskmodel "m" timeunit 1y\\nthreat T\\nincident R consequence 1\\n'
+              'initiate T -> R frequency 1:1y\\n' + cms)
+print(repr(overall_cost(model, frozenset(c.id for c in model.countermeasures))))
+"""
+    src = str(Path(riskforge.__file__).parent.parent)
+    reprs = set()
+    for seed in ("0", "1", "2", "3", "4", "5"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        reprs.add(out.stdout.strip())
+    assert len(reprs) == 1
