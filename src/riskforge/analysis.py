@@ -5,7 +5,7 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 
-from .calculus import Alternative
+from .calculus import Alternative, _check_valid, evaluation_plan
 from .engine import DEFAULT_SUBSET_CAP, CompiledModel
 from .intervals import Interval
 from .model import RiskModel, VertexKind
@@ -42,20 +42,20 @@ class DecisionDiagram:
 
 def applicable_countermeasures(model: RiskModel, risk: str) -> set[str]:
     """Countermeasures treating the risk vertex or any of its ancestors."""
-    v = model.vertex(risk)
-    if v.kind is not VertexKind.UNWANTED_INCIDENT:
+    try:
+        kind = model.vertex(risk).kind
+    except KeyError:
+        raise AnalysisError(f"unknown risk {risk!r}") from None
+    if kind is not VertexKind.UNWANTED_INCIDENT:
         raise AnalysisError(f"{risk!r} is not an unwanted incident")
-    incoming: dict[str, set[str]] = {}
-    for a, b in model.edges():
-        incoming.setdefault(b, set()).add(a)
-    relevant = {risk}
-    frontier = [risk]
-    while frontier:
-        for src in incoming.get(frontier.pop(), ()):
-            if src not in relevant:
-                relevant.add(src)
-                frontier.append(src)
-    return {t.countermeasure for t in model.treats if t.target in relevant}
+    _check_valid(model)
+    # Backwards over the plan, every vertex comes after all those it feeds.
+    relevant, cms = {risk}, set()
+    for v, _, leadsto, treats in reversed(evaluation_plan(model)):
+        if v.id in relevant:
+            relevant.update(r.source for r in leadsto)
+            cms.update(t.countermeasure for t in treats)
+    return cms
 
 
 def enumerate_states(

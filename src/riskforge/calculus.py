@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -12,7 +13,6 @@ from .model import (
     RiskModel,
     TreatsRel,
     Vertex,
-    VertexKind,
     is_known_valid,
     mark_valid,
     validate,
@@ -72,10 +72,7 @@ def propagate_leadsto(freq_source: Interval, likelihood: Interval) -> Interval:
 
 
 def combine_incoming(
-    contributions: list[Interval],
-    policy: MergePolicy,
-    vertex_id: str = "?",
-    rel_tol: float = EXCLUSIVE_REL_TOL,
+    contributions: list[Interval], policy: MergePolicy, vertex_id: str = "?"
 ) -> Interval:
     """Merge the frequency contributions arriving at one vertex.
 
@@ -94,7 +91,7 @@ def combine_incoming(
         first = contributions[0]
         for c in contributions[1:]:
             for a, b in ((first.lo, c.lo), (first.hi, c.hi)):
-                if abs(a - b) > rel_tol * max(abs(a), abs(b), 1.0):
+                if abs(a - b) > EXCLUSIVE_REL_TOL * max(abs(a), abs(b), 1.0):
                     raise CalculusError(
                         f"mutually exclusive vertex {vertex_id!r} has unequal "
                         f"contributions {first} and {c}"
@@ -117,28 +114,39 @@ def _check_valid(model: RiskModel):
     mark_valid(model)
 
 
-def _topological_order(model: RiskModel) -> list[Vertex]:
-    # Kahn's algorithm with ties broken by vertex id for a stable order.
+def evaluation_plan(model: RiskModel) -> list[tuple[Vertex, list, list, list]]:
+    """The order in which the calculus evaluates a valid model.
+
+    One ``(vertex, initiates, leadsto, treats)`` entry per core vertex, in
+    topological order with ties broken by id (Kahn's algorithm): its incoming
+    initiate and leads-to relations, each sorted by source, and the treats
+    relations on it, sorted by countermeasure id. Every evaluator walks this
+    plan, so this is the one place the evaluation order is decided.
+    """
     core = {v.id: v for v in model.core_vertices}
-    indeg = {vid: 0 for vid in core}
+    initiates: dict[str, list] = {vid: [] for vid in core}
+    leadsto: dict[str, list] = {vid: [] for vid in core}
+    treats: dict[str, list] = {vid: [] for vid in core}
     out: dict[str, list[str]] = {vid: [] for vid in core}
-    for r in model.leadsto:
+    for r in sorted(model.initiates, key=lambda r: r.source):
+        initiates[r.target].append(r)
+    for r in sorted(model.leadsto, key=lambda r: r.source):
+        leadsto[r.target].append(r)
         out[r.source].append(r.target)
-        indeg[r.target] += 1
-    ready = sorted(vid for vid, n in indeg.items() if n == 0)
-    order: list[Vertex] = []
+    for t in sorted(model.treats, key=lambda t: t.countermeasure):
+        treats[t.target].append(t)
+    indeg = {vid: len(rs) for vid, rs in leadsto.items()}
+    ready = [vid for vid, n in indeg.items() if n == 0]
+    heapq.heapify(ready)
+    plan = []
     while ready:
-        vid = ready.pop(0)
-        order.append(core[vid])
-        changed = False
+        vid = heapq.heappop(ready)
+        plan.append((core[vid], initiates[vid], leadsto[vid], treats[vid]))
         for w in out[vid]:
             indeg[w] -= 1
             if indeg[w] == 0:
-                ready.append(w)
-                changed = True
-        if changed:
-            ready.sort()
-    return order
+                heapq.heappush(ready, w)
+    return plan
 
 
 def propagate(model: RiskModel, alternative: Alternative) -> dict[str, VertexResult]:
@@ -154,18 +162,11 @@ def propagate(model: RiskModel, alternative: Alternative) -> dict[str, VertexRes
         raise CalculusError(f"unknown countermeasures in alternative: {sorted(unknown)}")
 
     results: dict[str, VertexResult] = {}
-    for v in _topological_order(model):
-        contributions: list[Interval] = []
-        for r in sorted(
-            (r for r in model.initiates if r.target == v.id), key=lambda r: r.source
-        ):
-            contributions.append(r.frequency.per_period(model.base_period))
-        for r in sorted(
-            (r for r in model.leadsto if r.target == v.id), key=lambda r: r.source
-        ):
-            contributions.append(
-                propagate_leadsto(results[r.source].frequency, r.likelihood)
-            )
+    for v, initiates, leadsto, treats in evaluation_plan(model):
+        contributions = [r.frequency.per_period(model.base_period) for r in initiates]
+        contributions += [
+            propagate_leadsto(results[r.source].frequency, r.likelihood) for r in leadsto
+        ]
         if contributions:
             freq = combine_incoming(contributions, v.merge_policy, v.id)
         else:
@@ -174,8 +175,8 @@ def propagate(model: RiskModel, alternative: Alternative) -> dict[str, VertexRes
 
         effects = [
             effective_effect(t, alternative, model.depends)
-            for t in sorted(model.treats, key=lambda t: t.countermeasure)
-            if t.target == v.id and t.countermeasure in alternative
+            for t in treats
+            if t.countermeasure in alternative
         ]
         freq, cons = apply_countermeasures(freq, cons, effects)
         results[v.id] = VertexResult(freq, cons)

@@ -67,10 +67,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _interval_json(iv) -> object:
-    return iv.lo if iv.is_point else [iv.lo, iv.hi]
-
-
 def _cmd_validate(model_file: str, coras: bool) -> int:
     model = _load(model_file, coras)
     diags = validate(model, coras=coras)
@@ -86,8 +82,8 @@ def _cmd_propagate(args, coras: bool) -> int:
     if args.format == "json":
         doc = {
             vid: {
-                "frequency": _interval_json(r.frequency),
-                "consequence": _interval_json(r.consequence),
+                "frequency": dsl._value_to_json(r.frequency),
+                "consequence": dsl._value_to_json(r.consequence),
             }
             for vid, r in results.items()
         }
@@ -116,8 +112,8 @@ def _cmd_analyze(args, coras: bool) -> int:
                     {
                         "state": f"S{s.index}",
                         "alternative": sorted(s.alternative),
-                        "frequency": _interval_json(s.frequency),
-                        "consequence": _interval_json(s.consequence),
+                        "frequency": dsl._value_to_json(s.frequency),
+                        "consequence": dsl._value_to_json(s.consequence),
                     }
                     for s in states
                 ],
@@ -214,7 +210,6 @@ def run(argv: list[str]) -> int:
         synergy.SynergyError,
         oracle.OracleError,
         OSError,
-        KeyError,
     ) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_MODEL_ERROR

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .intervals import Interval
@@ -269,8 +269,6 @@ def canonical(model: RiskModel) -> RiskModel:
     parse and from_json return canonical models, so serialization round-trips
     are equal as values, not just up to reordering.
     """
-    from dataclasses import replace
-
     kind_rank = {k: i for i, k in enumerate(_KIND_ORDER)}
     return replace(
         model,
@@ -465,49 +463,47 @@ _KIND_KEYWORD = {v: k for k, v in _VERTEX_KEYWORDS.items()}
 
 def serialize(model: RiskModel) -> str:
     """Render the model in canonical form: sorted declarations, shortest decimals."""
+    model = canonical(model)
     lines = [f'riskmodel "{model.name}" timeunit {model.base_period}']
-    for kind in _KIND_ORDER:
-        for v in sorted((v for v in model.vertices if v.kind == kind), key=lambda v: v.id):
-            line = _KIND_KEYWORD[kind] + " " + v.id
-            if v.label:
-                line += f' "{v.label}"'
-            if v.kind is VertexKind.UNWANTED_INCIDENT and v.consequence is not None:
-                line += f" consequence {_fmt_value(v.consequence)}"
-            lines.append(line)
+    for v in model.vertices:
+        line = _KIND_KEYWORD[v.kind] + " " + v.id
+        if v.label:
+            line += f' "{v.label}"'
+        if v.kind is VertexKind.UNWANTED_INCIDENT and v.consequence is not None:
+            line += f" consequence {_fmt_value(v.consequence)}"
+        lines.append(line)
     for v in sorted(model.vertices, key=lambda v: v.id):
         if v.merge_policy is not MergePolicy.SEPARATE:
             lines.append(f"merge {v.id} {v.merge_policy.value}")
-    for r in sorted(model.initiates, key=lambda r: (r.source, r.target)):
+    for r in model.initiates:
         line = f"initiate {r.source} -> {r.target} frequency {_fmt_freq(r.frequency)}"
         if r.via:
             line += f' via "{r.via}"'
         lines.append(line)
-    for r in sorted(model.leadsto, key=lambda r: (r.source, r.target)):
+    for r in model.leadsto:
         line = f"leadsto {r.source} -> {r.target} likelihood {_fmt_value(r.likelihood)}"
         if r.via:
             line += f' via "{r.via}"'
         lines.append(line)
-    for r in sorted(model.impacts, key=lambda r: (r.source, r.target)):
+    for r in model.impacts:
         lines.append(f"impact {r.source} -> {r.target}")
-    for c in sorted(model.countermeasures, key=lambda c: c.id):
+    for c in model.countermeasures:
         line = f"countermeasure {c.id}"
         if c.label:
             line += f' "{c.label}"'
         line += f" cost {_fmt_num(c.expenditure)}:{c.per}"
         lines.append(line)
-    for t in sorted(model.treats, key=lambda t: (t.countermeasure, t.target)):
+    for t in model.treats:
         lines.append(
             f"treats {t.countermeasure} -> {t.target} effect "
             f"{_fmt_value(t.freq_effect)}L {_fmt_value(t.cons_effect)}C"
         )
-    for d in sorted(
-        model.depends, key=lambda d: (d.countermeasure, d.treats_countermeasure, d.treats_target)
-    ):
+    for d in model.depends:
         lines.append(
             f"depends {d.countermeasure} -> ({d.treats_countermeasure} -> {d.treats_target}) "
             f"effect {_fmt_value(d.freq_dep)}L {_fmt_value(d.cons_dep)}C"
         )
-    for a in sorted(model.criteria, key=lambda a: a.risk):
+    for a in model.criteria:
         if a.max_frequency is not None:
             lines.append(f"accept {a.risk} frequency <= {_fmt_freq(a.max_frequency)}")
         if a.max_risk_cost is not None:

@@ -4,10 +4,12 @@
 ``evaluate`` then computes the residual frequency and consequence of the
 requested vertices for a batch of subsets, one numpy column per subset. Every
 value is bit-for-bit the one ``calculus.propagate`` gives, because each column
-goes through the same floating-point operations in the same order:
+goes through the same floating-point operations in the same order. Both walk
+``calculus.evaluation_plan``, the one place that order is decided:
 
-- contributions are merged initiates first, then leads-to, each sorted by
-  source; overlapping fan-in takes ``0 + sum(hi)`` like Python's ``sum``;
+- vertices come in topological order; contributions are merged initiates
+  first, then leads-to, each sorted by source; overlapping fan-in takes
+  ``0 + sum(hi)`` like Python's ``sum``;
 - an effect is weakened by its selected dependers in ``model.depends`` order;
 - a vertex's selected effects are applied in ascending
   ``(freq lo, freq hi, cons lo, cons hi)`` order, and an unselected effect is
@@ -26,12 +28,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .calculus import (
-    EXCLUSIVE_REL_TOL,
-    _check_valid,
-    _topological_order,
-    combine_incoming,
-)
+from .calculus import EXCLUSIVE_REL_TOL, _check_valid, combine_incoming, evaluation_plan
 from .intervals import Interval
 from .model import MergePolicy, RiskModel
 
@@ -92,55 +89,35 @@ class CompiledModel:
         self.expenditures = tuple(
             model.countermeasure(c).expenditure_per(base) for c in self.countermeasures
         )
-        by_risk = {a.risk: a for a in model.criteria}
         # risk -> (max frequency, max risk cost) per base period, None if unbounded
-        self.bounds = {
-            risk: (
-                None if a.max_frequency is None else a.max_frequency.per_period(base).midpoint,
-                None
-                if a.max_risk_cost is None
-                else a.max_risk_cost * base.days / a.max_risk_cost_per.days,
-            )
-            for risk, a in by_risk.items()
-        }
+        self.bounds = {a.risk: a.bounds(base) for a in model.criteria}
 
-        order = _topological_order(model)
-        self.outputs = tuple(v.id for v in order) if outputs is None else tuple(outputs)
-        initiates: dict[str, list] = {v.id: [] for v in order}
-        for r in model.initiates:
-            initiates[r.target].append(r)
-        sources: dict[str, list] = {v.id: [] for v in order}
-        for r in model.leadsto:
-            sources[r.target].append(r)
-        needed: set[str] = set()
-        frontier = list(self.outputs) + [
-            v.id
-            for v in order
-            if v.merge_policy is MergePolicy.EXCLUSIVE
-            and len(initiates[v.id]) + len(sources[v.id]) > 1
-        ]
-        while frontier:
-            vid = frontier.pop()
-            if vid not in needed:
-                needed.add(vid)
-                frontier.extend(r.source for r in sources[vid])
-        order = [v for v in order if v.id in needed]
-        position = {v.id: p for p, v in enumerate(order)}
-        last_use = {v.id: p for p, v in enumerate(order)}
-        for r in model.leadsto:
-            if r.target in position:
-                last_use[r.source] = max(last_use[r.source], position[r.target])
+        plan = evaluation_plan(model)
+        self.outputs = tuple(v.id for v, *_ in plan) if outputs is None else tuple(outputs)
         outputs_set = set(self.outputs)
+        # Backwards over the plan, every vertex comes after all those it feeds.
+        needed = set(self.outputs)
+        for v, initiates, leadsto, _ in reversed(plan):
+            if v.merge_policy is MergePolicy.EXCLUSIVE and len(initiates) + len(leadsto) > 1:
+                needed.add(v.id)
+            if v.id in needed:
+                needed.update(r.source for r in leadsto)
+        plan = [entry for entry in plan if entry[0].id in needed]
+        position = {v.id: p for p, (v, *_) in enumerate(plan)}
+        last_use = dict(position)
+        for p, (_, _, leadsto, _) in enumerate(plan):
+            for r in leadsto:
+                last_use[r.source] = p
         release: dict[int, list[int]] = {}
         for vid, p in last_use.items():
             if vid not in outputs_set:
                 release.setdefault(p, []).append(position[vid])
 
-        plan = []
-        for p, v in enumerate(order):
-            treats = []
-            for t in model.treats:
-                if t.target != v.id or t.countermeasure not in bit:
+        compiled = []
+        for p, (v, initiates, leadsto, treats) in enumerate(plan):
+            effects = []
+            for t in treats:
+                if t.countermeasure not in bit:
                     continue
                 deps = tuple(
                     (
@@ -154,30 +131,27 @@ class CompiledModel:
                     if d.treats_key == t.key and d.countermeasure in bit
                 )
                 effect = (t.freq_effect.lo, t.freq_effect.hi, t.cons_effect.lo, t.cons_effect.hi)
-                treats.append(_Treat(bit[t.countermeasure], effect, deps))
-            if not any(t.depends for t in treats):
-                treats.sort(key=lambda t: t.effect)
-            plan.append(
+                effects.append(_Treat(bit[t.countermeasure], effect, deps))
+            if not any(t.depends for t in effects):
+                effects.sort(key=lambda t: t.effect)
+            frequencies = [r.frequency.per_period(base) for r in initiates]
+            compiled.append(
                 _Vertex(
                     id=v.id,
                     policy=v.merge_policy,
-                    initiates=tuple(
-                        (r.frequency.per_period(base).lo, r.frequency.per_period(base).hi)
-                        for r in sorted(initiates[v.id], key=lambda r: r.source)
-                    ),
+                    initiates=tuple((f.lo, f.hi) for f in frequencies),
                     leadsto=tuple(
-                        (position[r.source], r.likelihood.lo, r.likelihood.hi)
-                        for r in sorted(sources[v.id], key=lambda r: r.source)
+                        (position[r.source], r.likelihood.lo, r.likelihood.hi) for r in leadsto
                     ),
                     consequence=(0.0, 0.0)
                     if v.consequence is None
                     else (v.consequence.lo, v.consequence.hi),
-                    treats=tuple(treats),
+                    treats=tuple(effects),
                     output=v.id in outputs_set,
                     release=tuple(release.get(p, ())),
                 )
             )
-        self._plan = tuple(plan)
+        self._plan = tuple(compiled)
 
     def subset(self, mask: int) -> frozenset:
         """The countermeasure ids selected by a mask."""

@@ -25,10 +25,6 @@ class Interval:
         return self.lo == self.hi
 
     @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    @property
     def midpoint(self) -> float:
         return 0.5 * (self.lo + self.hi)
 
@@ -55,9 +51,6 @@ class Interval:
 
     def contains(self, other: "Interval", tol: float = 0.0) -> bool:
         return self.lo - tol <= other.lo and other.hi <= self.hi + tol
-
-    def contains_value(self, x: float, tol: float = 0.0) -> bool:
-        return self.lo - tol <= x <= self.hi + tol
 
     def __str__(self) -> str:
         if self.is_point:

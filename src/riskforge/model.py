@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Iterator, Optional
 
 from .intervals import Interval
 
@@ -146,6 +147,15 @@ class AcceptanceCriterion:
     max_risk_cost: Optional[float] = None  # money per max_risk_cost_per
     max_risk_cost_per: Optional[Period] = None
 
+    def bounds(self, base: Period) -> tuple[Optional[float], Optional[float]]:
+        """(max frequency midpoint, max risk cost) per base period; None if unbounded."""
+        return (
+            None if self.max_frequency is None else self.max_frequency.per_period(base).midpoint,
+            None
+            if self.max_risk_cost is None
+            else self.max_risk_cost * base.days / self.max_risk_cost_per.days,
+        )
+
 
 @dataclass(frozen=True)
 class Diagnostic:
@@ -204,14 +214,26 @@ class RiskModel:
             (r.source, r.target) for r in self.leadsto
         ]
 
+    def intervals(self) -> Iterator[tuple[str, Interval]]:
+        """(description, value) of every interval annotation: frequencies,
+        likelihoods, effects, dependencies and consequences."""
+        for r in self.initiates:
+            yield f"initiate {r.source}->{r.target} frequency", r.frequency.occurrences
+        for r in self.leadsto:
+            yield f"leadsto {r.source}->{r.target} likelihood", r.likelihood
+        for t in self.treats:
+            yield f"treats {t.countermeasure}->{t.target} frequency effect", t.freq_effect
+            yield f"treats {t.countermeasure}->{t.target} consequence effect", t.cons_effect
+        for d in self.depends:
+            yield f"depends {d.countermeasure} frequency dependency", d.freq_dep
+            yield f"depends {d.countermeasure} consequence dependency", d.cons_dep
+        for v in self.vertices:
+            if v.consequence is not None:
+                yield f"consequence of {v.id!r}", v.consequence
+
     def is_point_valued(self) -> bool:
-        """True when every numeric annotation is a point (width-0) interval."""
-        intervals = [r.frequency.occurrences for r in self.initiates]
-        intervals += [r.likelihood for r in self.leadsto]
-        intervals += [t.freq_effect for t in self.treats] + [t.cons_effect for t in self.treats]
-        intervals += [d.freq_dep for d in self.depends] + [d.cons_dep for d in self.depends]
-        intervals += [v.consequence for v in self.vertices if v.consequence is not None]
-        return all(iv.is_point for iv in intervals)
+        """True when every interval annotation is a point (width-0) interval."""
+        return all(iv.is_point for _, iv in self.intervals())
 
 
 def _find_cycle(vertices: list[str], edges: list[tuple[str, str]]) -> Optional[list[str]]:
@@ -353,6 +375,18 @@ def validate(model: RiskModel, coras: bool = False) -> list[Diagnostic]:
         if a.max_frequency is None and a.max_risk_cost is None:
             err(f"acceptance criterion for {a.risk!r} has no bound")
 
+    numbers = list(model.intervals()) + [
+        (f"expenditure of {c.id!r}", Interval.point(c.expenditure)) for c in model.countermeasures
+    ]
+    for a in model.criteria:
+        if a.max_frequency is not None:
+            numbers.append((f"frequency bound for {a.risk!r}", a.max_frequency.occurrences))
+        if a.max_risk_cost is not None:
+            numbers.append((f"cost bound for {a.risk!r}", Interval.point(a.max_risk_cost)))
+    for what, iv in numbers:
+        if not (math.isfinite(iv.lo) and math.isfinite(iv.hi)):
+            err(f"{what} is not a finite number")
+
     cycle = _find_cycle(sorted(ids), model.edges())
     if cycle is not None:
         err("cycle: " + ",".join(cycle))
@@ -371,8 +405,9 @@ def validate(model: RiskModel, coras: bool = False) -> list[Diagnostic]:
                 if v.id not in reachable:
                     err(f"incident {v.id!r} is unreachable from every threat")
 
-    for v in model.core_vertices:
-        if v.merge_policy is MergePolicy.OVERLAPPING and model.is_point_valued():
+    overlapping = [v for v in model.core_vertices if v.merge_policy is MergePolicy.OVERLAPPING]
+    if overlapping and model.is_point_valued():
+        for v in overlapping:
             warn(
                 f"vertex {v.id!r} merges overlapping contributions but the model is "
                 f"point-valued; combined results will still be intervals"
@@ -417,11 +452,7 @@ def normalize(model: RiskModel, target: Period) -> RiskModel:
             replace(
                 a,
                 max_frequency=None if a.max_frequency is None else freq(a.max_frequency),
-                max_risk_cost=(
-                    None
-                    if a.max_risk_cost is None
-                    else a.max_risk_cost * target.days / a.max_risk_cost_per.days
-                ),
+                max_risk_cost=a.bounds(target)[1],
                 max_risk_cost_per=None if a.max_risk_cost is None else target,
             )
             for a in model.criteria

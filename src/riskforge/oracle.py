@@ -9,7 +9,7 @@ from typing import Callable
 
 import numpy as np
 
-from .calculus import Alternative, _topological_order, effective_effect, propagate
+from .calculus import Alternative, effective_effect, evaluation_plan, propagate
 from .intervals import Interval
 from .model import (
     Countermeasure,
@@ -23,6 +23,8 @@ from .model import (
     TreatsRel,
     Vertex,
     VertexKind,
+    is_known_valid,
+    mark_valid,
     validate,
 )
 
@@ -129,9 +131,11 @@ def empirical_consequence(history: History, event_class: str, cs: Alternative) -
 
 
 def _check_point_model(model: RiskModel):
-    errors = [d for d in validate(model) if d.is_error]
-    if errors:
-        raise OracleError("invalid model: " + "; ".join(d.message for d in errors))
+    if not is_known_valid(model):
+        errors = [d for d in validate(model) if d.is_error]
+        if errors:
+            raise OracleError("invalid model: " + "; ".join(d.message for d in errors))
+        mark_valid(model)
     if not model.is_point_valued():
         raise OracleError("the history sampler runs on point-valued models only")
     for v in model.core_vertices:
@@ -159,21 +163,21 @@ def generate_history(
         raise OracleError("horizon must be positive")
     rng = np.random.default_rng(seed)
 
-    topo = _topological_order(model)
-    impact_maps = {v.id: _impact_map(model, v.id) for v in topo}
-
     all_times: list[np.ndarray] = []
     all_classes: list[np.ndarray] = []
     all_tags: list[list[frozenset]] = []
     surviving: dict[str, np.ndarray] = {}
+    impact_maps: dict[str, ImpactMap] = {}
 
-    for v in topo:
+    for v, initiates, leadsto, treats in evaluation_plan(model):
+        base = v.consequence.lo if v.consequence is not None else 0.0
+        impact_maps[v.id] = ImpactMap(base, {t.countermeasure: t.cons_effect.lo for t in treats})
         incoming: list[np.ndarray] = []
-        for r in sorted((r for r in model.initiates if r.target == v.id), key=lambda r: r.source):
+        for r in initiates:
             rate = r.frequency.per_period(model.base_period).lo
             n = rng.poisson(rate * horizon)
             incoming.append(np.sort(rng.uniform(0.0, horizon, size=n)))
-        for r in sorted((r for r in model.leadsto if r.target == v.id), key=lambda r: r.source):
+        for r in leadsto:
             src = surviving[r.source]
             counts = rng.poisson(r.likelihood.lo, size=len(src))
             incoming.append(np.repeat(src, counts))
@@ -186,11 +190,7 @@ def generate_history(
         else:
             times = np.sort(np.concatenate(incoming))
 
-        treats_here = [
-            t
-            for t in sorted(model.treats, key=lambda t: t.countermeasure)
-            if t.target == v.id and t.countermeasure in alternative
-        ]
+        treats_here = [t for t in treats if t.countermeasure in alternative]
         tagged = np.zeros(len(times), dtype=bool)
         tags: list[frozenset] = [frozenset()] * len(times)
         if treats_here:
@@ -221,15 +221,6 @@ def generate_history(
         for i in order
     )
     return History(events, horizon)
-
-
-def _impact_map(model: RiskModel, vertex_id: str) -> ImpactMap:
-    v = model.vertex(vertex_id)
-    base = v.consequence.lo if v.consequence is not None else 0.0
-    effects = {
-        t.countermeasure: t.cons_effect.lo for t in model.treats if t.target == vertex_id
-    }
-    return ImpactMap(base, effects)
 
 
 @dataclass(frozen=True)

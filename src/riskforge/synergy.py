@@ -107,18 +107,13 @@ def _verdicts(
                 )
             verdicts[risk] = True
             continue
+        max_f, max_c = crit.bounds(model.base_period)
         ok = True
-        if crit.max_frequency is not None:
-            bound = crit.max_frequency.per_period(model.base_period).midpoint
+        if max_f is not None:
             freq = state.frequency.hi if pessimistic else state.frequency.midpoint
-            ok = ok and freq <= bound
-        if crit.max_risk_cost is not None:
-            bound = (
-                crit.max_risk_cost
-                * model.base_period.days
-                / crit.max_risk_cost_per.days
-            )
-            ok = ok and risk_cost(state, pessimistic) <= bound
+            ok = ok and freq <= max_f
+        if max_c is not None:
+            ok = ok and risk_cost(state, pessimistic) <= max_c
         verdicts[risk] = ok
     return verdicts
 

@@ -7,14 +7,18 @@ from riskforge import (
     CalculusError,
     DependsRel,
     Interval,
+    LeadsToRel,
     MergePolicy,
     TreatsRel,
+    Vertex,
+    VertexKind,
     apply_countermeasures,
     combine_incoming,
     effective_effect,
     propagate,
     propagate_leadsto,
 )
+from riskforge.calculus import evaluation_plan
 from dataclasses import replace
 
 from genmodels import random_alternative, random_model, sample_point_model
@@ -174,3 +178,82 @@ def test_degenerate_intervals_stay_degenerate():
         for r in propagate(m, random_alternative(m, rng)).values():
             assert r.frequency.is_point
             assert r.consequence.is_point
+
+
+def _brute_force_plan(model):
+    """Kahn's order spelled out: repeatedly take the smallest id whose
+    sources are all placed; each vertex's relations filtered and sorted."""
+    placed, plan = set(), []
+    core = sorted(v.id for v in model.core_vertices)
+    while len(plan) < len(core):
+        vid = min(
+            v
+            for v in core
+            if v not in placed
+            and all(r.source in placed for r in model.leadsto if r.target == v)
+        )
+        placed.add(vid)
+        initiates = [r for r in model.initiates if r.target == vid]
+        leadsto = [r for r in model.leadsto if r.target == vid]
+        treats = [t for t in model.treats if t.target == vid]
+        plan.append(
+            (
+                model.vertex(vid),
+                sorted(initiates, key=lambda r: r.source),
+                sorted(leadsto, key=lambda r: r.source),
+                sorted(treats, key=lambda t: t.countermeasure),
+            )
+        )
+    return plan
+
+
+def test_evaluation_plan_matches_brute_force():
+    rng = np.random.default_rng(23)
+    for i in range(60):
+        m = random_model(
+            rng,
+            interval=bool(rng.random() < 0.5),
+            max_scenarios=8,
+            max_cms=6,
+            allow_overlapping=True,
+            exclusive=i % 2 == 0,
+        )
+        assert evaluation_plan(_shuffled(m, rng)) == evaluation_plan(m) == _brute_force_plan(m)
+
+
+def _shuffled(model, rng):
+    """The model with its vertices, initiates, leads-to and treats in random order."""
+
+    def shuffle(items):
+        return tuple(items[j] for j in rng.permutation(len(items)))
+
+    return replace(
+        model,
+        vertices=shuffle(model.vertices),
+        initiates=shuffle(model.initiates),
+        leadsto=shuffle(model.leadsto),
+        treats=shuffle(model.treats),
+    )
+
+
+def _bits(results):
+    return {
+        vid: tuple(x.hex() for iv in (r.frequency, r.consequence) for x in (iv.lo, iv.hi))
+        for vid, r in results.items()
+    }
+
+
+def test_propagate_bit_identical_under_shuffled_relations():
+    rng = np.random.default_rng(29)
+    for i in range(40):
+        m = random_model(
+            rng, interval=bool(rng.random() < 0.5), max_scenarios=6, exclusive=i % 3 == 0
+        )
+        # An incident fed by every scenario: sums of three or more
+        # contributions depend on their order bit-for-bit.
+        scenarios = [v.id for v in m.vertices if v.kind is VertexKind.THREAT_SCENARIO]
+        fan_in = [LeadsToRel(s, "RZ", pt(0.1 + 0.13 * j)) for j, s in enumerate(scenarios)]
+        sink = Vertex("RZ", VertexKind.UNWANTED_INCIDENT, consequence=pt(10.0))
+        m = replace(m, vertices=m.vertices + (sink,), leadsto=m.leadsto + tuple(fan_in))
+        alt = random_alternative(m, rng)
+        assert _bits(propagate(_shuffled(m, rng), alt)) == _bits(propagate(m, alt))

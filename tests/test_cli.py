@@ -91,6 +91,20 @@ def test_analyze_bad_risk(ehealth_path, capsys):
     assert run(["analyze", ehealth_path, "--risk", "NCD"]) == 1
 
 
+def test_analyze_unknown_risk(ehealth_path, capsys):
+    assert run(["analyze", ehealth_path, "--risk", "NOPE"]) == 1
+    assert capsys.readouterr().err == "error: unknown risk 'NOPE'\n"
+
+
+def test_non_finite_number_is_a_model_error(tmp_path, capsys):
+    path = tmp_path / "huge.riskdsl"
+    path.write_text(RULE_FILE.replace("frequency 3:1y", "frequency 1e999:1y"))
+    assert run(["propagate", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "initiate T->A frequency is not a finite number" in captured.err
+
+
 def test_synergy_csv(ehealth_path, capsys):
     assert run(["synergy", ehealth_path]) == 0
     lines = capsys.readouterr().out.strip().split("\n")

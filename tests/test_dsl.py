@@ -1,7 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from riskforge import (
     DslError,
@@ -102,6 +105,13 @@ def test_json_roundtrip_ehealth(ehealth):
     assert from_json(to_json(ehealth)) == ehealth
 
 
+def test_json_roundtrip_random_models():
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        m = random_model(rng, interval=bool(rng.random() < 0.5))
+        assert from_json(to_json(m)) == canonical(m)
+
+
 def test_json_schema_gate(ehealth):
     doc = json.loads(to_json(ehealth))
     doc["schema"] = 99
@@ -131,3 +141,58 @@ def test_via_clause_is_kept(ehealth):
     nf = next(r for r in ehealth.initiates if r.source == "NF")
     assert nf.via == "unstable/unreliable network connection"
     assert 'via "unstable/unreliable network connection"' in serialize(ehealth)
+
+
+FINITE_MODEL = HEADER + (
+    "threat T\nscenario A\nincident R consequence {consequence}\n"
+    "initiate T -> A frequency {frequency}:1y\nleadsto A -> R likelihood {likelihood}\n"
+    "countermeasure C cost {cost}:1y\ntreats C -> A effect 0.5L 0.5C\n"
+    "accept R frequency <= {max_frequency}:1y\naccept R cost <= {max_cost}:1y\n"
+)
+FINITE_VALUES = {
+    "consequence": 100,
+    "frequency": 2,
+    "likelihood": 0.5,
+    "cost": 10,
+    "max_frequency": 5,
+    "max_cost": 1000,
+}
+INTERVAL_SLOTS = ("consequence", "frequency", "likelihood", "max_frequency")
+
+
+def _json_slot(doc: dict, slot: str) -> tuple[dict, str]:
+    """The JSON object and key holding one slot of FINITE_MODEL."""
+    incident = next(v for v in doc["vertices"] if v["id"] == "R")
+    return {
+        "consequence": (incident, "consequence"),
+        "frequency": (doc["initiates"][0]["frequency"], "value"),
+        "likelihood": (doc["leadsto"][0], "likelihood"),
+        "cost": (doc["countermeasures"][0], "cost"),
+        "max_frequency": (doc["criteria"][0]["max_frequency"], "value"),
+        "max_cost": (doc["criteria"][0]["max_risk_cost"], "value"),
+    }[slot]
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(
+    slot=st.sampled_from(sorted(FINITE_VALUES)),
+    value=st.sampled_from([math.inf, -math.inf, math.nan]),
+    as_interval=st.booleans(),
+    as_json=st.booleans(),
+)
+def test_loaders_reject_non_finite_numbers(slot, value, as_interval, as_json):
+    as_interval = as_interval and slot in INTERVAL_SLOTS
+    if as_json:
+        doc = json.loads(to_json(parse(FINITE_MODEL.format(**FINITE_VALUES))))
+        holder, key = _json_slot(doc, slot)
+        holder[key] = [0.0, value] if as_interval else value
+        load, text = from_json, json.dumps(doc)  # writes NaN, Infinity, -Infinity
+    else:
+        assume(not math.isnan(value))  # the DSL has no spelling for NaN
+        number = "1e999" if value > 0 else "-1e999"
+        values = dict(FINITE_VALUES, **{slot: f"[0,{number}]" if as_interval else number})
+        load, text = parse, FINITE_MODEL.format(**values)
+    with pytest.raises(DslSemanticError) as exc:
+        load(text)
+    if not value < 0:  # a negative number fails its own sign check first
+        assert "is not a finite number" in str(exc.value)

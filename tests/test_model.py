@@ -1,9 +1,11 @@
 import pytest
 
 from riskforge import (
+    AcceptanceCriterion,
     Frequency,
     Interval,
     LeadsToRel,
+    MergePolicy,
     Period,
     RiskModel,
     TreatsRel,
@@ -121,3 +123,46 @@ def test_normalize_idempotent_and_commuting(ehealth):
         assert r1.frequency.occurrences.lo == pytest.approx(
             r2.frequency.occurrences.lo, rel=1e-12
         )
+
+
+def test_validate_checks_point_values_once(ehealth, monkeypatch):
+    overlapping = replace(
+        ehealth,
+        vertices=tuple(
+            replace(v, merge_policy=MergePolicy.OVERLAPPING)
+            if v.kind is VertexKind.THREAT_SCENARIO
+            else v
+            for v in ehealth.vertices
+        ),
+    )
+    calls = []
+    point_valued = RiskModel.is_point_valued
+    monkeypatch.setattr(
+        RiskModel, "is_point_valued", lambda m: calls.append(m) or point_valued(m)
+    )
+    diags = validate(overlapping)
+    assert len(calls) == 1
+    assert sum("merges overlapping" in d.message for d in diags) > 1
+
+
+def test_validate_rejects_non_finite_expenditure(ehealth):
+    cm = ehealth.countermeasures[0]
+    nan_cost = (replace(cm, expenditure=float("nan")),) + ehealth.countermeasures[1:]
+    broken = replace(ehealth, countermeasures=nan_cost)
+    assert [str(d) for d in validate(broken) if d.is_error] == [
+        f"error: expenditure of {cm.id!r} is not a finite number"
+    ]
+
+
+def test_criterion_bounds_per_base_period():
+    crit = AcceptanceCriterion(
+        "R",
+        max_frequency=Frequency(Interval(2.0, 4.0), Period(10, "y")),
+        max_risk_cost=1200.0,
+        max_risk_cost_per=Period(1, "y"),
+    )
+    # The frequency bound counts by its midpoint: 3 per 10 years is 0.025 a month.
+    assert crit.bounds(Period(1, "m")) == pytest.approx((0.025, 100.0))
+    assert replace(crit, max_frequency=None).bounds(Period(1, "y")) == (None, 1200.0)
+    normalized = normalize(RiskModel("m", Period(1, "y"), criteria=(crit,)), Period(1, "m"))
+    assert normalized.criteria[0].max_risk_cost == crit.bounds(Period(1, "m"))[1]

@@ -23,6 +23,7 @@ from riskforge import (
     generate_history,
     random_rule_instance,
     truncate,
+    validate,
 )
 from riskforge.oracle import RULES, ImpactMap, OracleError, conclusion_vertex
 
@@ -226,3 +227,19 @@ def test_impact_map_rejects_a_consequence_increase():
     # A negative effect raises the consequence; the check must survive python -O.
     with pytest.raises(OracleError, match="not antitone"):
         ImpactMap(100.0, {"A": 0.5, "B": -0.25})
+
+
+def test_check_rule_validates_once(monkeypatch):
+    from riskforge import calculus, oracle
+
+    calls = []
+
+    def counting(model, *args, **kwargs):
+        calls.append(model)
+        return validate(model, *args, **kwargs)
+
+    monkeypatch.setattr(oracle, "validate", counting)
+    monkeypatch.setattr(calculus, "validate", counting)
+    instance = random_rule_instance("separate", np.random.default_rng(3))
+    check_rule("separate", instance, runs=5, horizon=100.0)
+    assert len(calls) == 1
