@@ -8,10 +8,12 @@ classes.
 
 from __future__ import annotations
 
+import enum
 import json
 import re
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass, fields, replace
+from operator import attrgetter
+from typing import Callable, Optional, Union, get_args, get_origin, get_type_hints
 
 from .intervals import Interval
 from .model import (
@@ -269,7 +271,7 @@ def canonical(model: RiskModel) -> RiskModel:
     parse and from_json return canonical models, so serialization round-trips
     are equal as values, not just up to reordering.
     """
-    kind_rank = {k: i for i, k in enumerate(_KIND_ORDER)}
+    kind_rank = {k: i for i, k in enumerate(VertexKind)}  # declaration order
     return replace(
         model,
         vertices=tuple(sorted(model.vertices, key=lambda v: (kind_rank[v.kind], v.id))),
@@ -288,12 +290,8 @@ def canonical(model: RiskModel) -> RiskModel:
     )
 
 
-_VERTEX_KEYWORDS = {
-    "threat": VertexKind.THREAT,
-    "scenario": VertexKind.THREAT_SCENARIO,
-    "incident": VertexKind.UNWANTED_INCIDENT,
-    "asset": VertexKind.ASSET,
-}
+# A vertex statement's keyword is its kind's value.
+_VERTEX_KEYWORDS = {kind.value: kind for kind in VertexKind}
 
 
 def parse(text: str, coras: bool = False) -> RiskModel:
@@ -327,9 +325,7 @@ def parse(text: str, coras: bool = False) -> RiskModel:
             consequence = None
             if kw == "incident":
                 p.keyword("consequence")
-                consequence, span = p.value("consequence")
-                if consequence.lo < 0:
-                    raise DslSemanticError("consequence must be >= 0", span)
+                consequence, _ = p.value("consequence")
             b.vertices.append(Vertex(ident.text, _VERTEX_KEYWORDS[kw], label, consequence))
         elif kw == "initiate":
             src = p.ident("threat id")
@@ -384,10 +380,6 @@ def parse(text: str, coras: bool = False) -> RiskModel:
             p.take("punct", "')'", ")")
             p.keyword("effect")
             d_f, d_i = p.effect_pair()
-            if cm.text == t_cm.text:
-                raise DslSemanticError(
-                    f"countermeasure {cm.text!r} cannot depend on its own effect", cm.span
-                )
             b.depends.append(DependsRel(cm.text, t_cm.text, t_target.text, d_f, d_i))
         elif kw == "merge":
             ident = p.ident("vertex id")
@@ -452,21 +444,12 @@ def _fmt_freq(f: Frequency) -> str:
     return f"{_fmt_value(f.occurrences)}:{f.per}"
 
 
-_KIND_ORDER = [
-    VertexKind.THREAT,
-    VertexKind.THREAT_SCENARIO,
-    VertexKind.UNWANTED_INCIDENT,
-    VertexKind.ASSET,
-]
-_KIND_KEYWORD = {v: k for k, v in _VERTEX_KEYWORDS.items()}
-
-
 def serialize(model: RiskModel) -> str:
     """Render the model in canonical form: sorted declarations, shortest decimals."""
     model = canonical(model)
     lines = [f'riskmodel "{model.name}" timeunit {model.base_period}']
     for v in model.vertices:
-        line = _KIND_KEYWORD[v.kind] + " " + v.id
+        line = v.kind.value + " " + v.id
         if v.label:
             line += f' "{v.label}"'
         if v.kind is VertexKind.UNWANTED_INCIDENT and v.consequence is not None:
@@ -519,105 +502,138 @@ def _value_to_json(iv: Interval):
     return [iv.lo, iv.hi]
 
 
-def _value_from_json(obj, what: str) -> Interval:
-    if isinstance(obj, (int, float)) and not isinstance(obj, bool):
-        return Interval.point(float(obj))
+def _number_from_json(obj, key: str, expected: str = "a nonnegative number") -> float:
+    # As in the DSL, whose statements all reject negative numbers.
+    if isinstance(obj, bool) or not isinstance(obj, (int, float)) or obj < 0:
+        raise DslSemanticError(f"bad {key}: expected {expected}")
+    return float(obj)
+
+
+def _value_from_json(obj, key: str) -> Interval:
     if isinstance(obj, list) and len(obj) == 2:
-        try:
-            return Interval(float(obj[0]), float(obj[1]))
-        except ValueError as e:
-            raise DslSemanticError(f"bad {what}: {e}") from None
-    raise DslSemanticError(f"bad {what}: expected number or [lo, hi]")
+        return Interval(_number_from_json(obj[0], key), _number_from_json(obj[1], key))
+    return Interval.point(_number_from_json(obj, key, "a nonnegative number or [lo, hi]"))
 
 
-def _period_from_json(s, what: str) -> Period:
-    if not isinstance(s, str) or not re.fullmatch(r"\d+[dmy]", s):
-        raise DslSemanticError(f"bad {what}: expected a period like '10y'")
-    return Period(int(s[:-1]), s[-1])
+def _text_from_json(obj, key: str) -> str:
+    if not isinstance(obj, str):
+        raise DslSemanticError(f"bad {key}: expected a string")
+    return obj
+
+
+def _period_from_json(obj, key: str) -> Period:
+    if not isinstance(obj, str) or not re.fullmatch(r"\d+[dmy]", obj):
+        raise DslSemanticError(f"bad {key}: expected a period like '10y'")
+    return Period(int(obj[:-1]), obj[-1])
 
 
 def _freq_to_json(f: Frequency) -> dict:
     return {"value": _value_to_json(f.occurrences), "per": str(f.per)}
 
 
-def _freq_from_json(obj, what: str) -> Frequency:
+def _freq_from_json(obj, key: str) -> Frequency:
     if not isinstance(obj, dict):
-        raise DslSemanticError(f"bad {what}: expected an object")
+        raise DslSemanticError(f"bad {key}: expected an object")
     return Frequency(
-        _value_from_json(obj.get("value"), what), _period_from_json(obj.get("per"), what)
+        _value_from_json(obj.get("value"), key), _period_from_json(obj.get("per"), key)
     )
 
 
+# (encode, decode) per field type; an Optional field uses the codec of its type.
+_CODECS: dict[type, tuple[Callable, Callable]] = {
+    str: ((lambda text: text), _text_from_json),
+    float: ((lambda x: x), _number_from_json),
+    Interval: (_value_to_json, _value_from_json),
+    Frequency: (_freq_to_json, _freq_from_json),
+    Period: (str, _period_from_json),
+    VertexKind: (attrgetter("value"), lambda obj, key: VertexKind(obj)),
+    MergePolicy: (attrgetter("value"), lambda obj, key: MergePolicy(obj)),
+}
+
+# The JSON keys that differ from their field's name; "a.b" is key b of object a.
+_JSON_KEYS = {
+    "merge_policy": "merge",
+    "expenditure": "cost",
+    "treats_countermeasure": "treats.countermeasure",
+    "treats_target": "treats.target",
+    "max_risk_cost": "max_risk_cost.value",
+    "max_risk_cost_per": "max_risk_cost.per",
+}
+
+
+def _layout(record: type) -> tuple[type, list[tuple]]:
+    """The record type and (field, key, outer key, inner key or None, encode,
+    decode, optional) per field. A key is optional when its field defaults to
+    None, a text or a policy, and an "a.b" object when its fields are."""
+    hints = get_type_hints(record)
+    layout = []
+    for f in fields(record):
+        kind = hints[f.name]
+        if get_origin(kind) is Union:  # Optional[kind]
+            kind = get_args(kind)[0]
+        key = _JSON_KEYS.get(f.name, f.name)
+        outer, _, inner = key.partition(".")
+        optional = f.default is None or isinstance(f.default, (str, enum.Enum))
+        layout.append((f.name, key, outer, inner or None, *_CODECS[kind], optional))
+    return record, layout
+
+
+# Each collection is a tuple[Record, ...] field of RiskModel, in document order.
+_COLLECTIONS = {
+    name: _layout(get_args(hint)[0])
+    for name, hint in get_type_hints(RiskModel).items()
+    if get_origin(hint) is tuple
+}
+
+
+def _record_to_json(record, layout: list[tuple]) -> dict:
+    obj: dict = {}
+    for name, _, outer, inner, encode, _, _ in layout:
+        value = getattr(record, name)
+        value = None if value is None else encode(value)
+        if inner is None:
+            obj[outer] = value
+        # An "a.b" object is null when its first field is None.
+        elif obj.setdefault(outer, None if value is None else {}) is not None:
+            obj[outer][inner] = value
+    return obj
+
+
+def _records_from_json(entries, collection: str) -> tuple:
+    if not isinstance(entries, list):
+        raise DslSemanticError(f"bad {collection}: expected a list")
+    record, layout = _COLLECTIONS[collection]
+    records = []
+    for obj in entries:
+        if not isinstance(obj, dict):
+            raise DslSemanticError(f"bad {collection} entry: expected an object")
+        values = {}
+        for name, key, outer, inner, _, decode, optional in layout:
+            value = obj.get(outer) if optional else obj[outer]
+            if value is None and optional:  # missing or null: the field keeps its default
+                continue
+            if inner is not None:
+                if not isinstance(value, dict):
+                    raise DslSemanticError(f"bad {outer}: expected an object")
+                value = value[inner]
+            try:
+                values[name] = decode(value, key)
+            except ValueError as e:
+                raise DslSemanticError(f"bad {key}: {e}") from None
+        records.append(record(**values))
+    return tuple(records)
+
+
 def to_json(model: RiskModel) -> str:
-    """Lossless JSON mirror of the DSL, schema version 1."""
-    doc = {
-        "schema": JSON_SCHEMA_VERSION,
-        "name": model.name,
-        "base_period": str(model.base_period),
-        "vertices": [
-            {
-                "id": v.id,
-                "kind": _KIND_KEYWORD[v.kind],
-                "label": v.label,
-                "consequence": None if v.consequence is None else _value_to_json(v.consequence),
-                "merge": v.merge_policy.value,
-            }
-            for v in model.vertices
-        ],
-        "initiates": [
-            {
-                "source": r.source,
-                "target": r.target,
-                "frequency": _freq_to_json(r.frequency),
-                "via": r.via,
-            }
-            for r in model.initiates
-        ],
-        "leadsto": [
-            {
-                "source": r.source,
-                "target": r.target,
-                "likelihood": _value_to_json(r.likelihood),
-                "via": r.via,
-            }
-            for r in model.leadsto
-        ],
-        "impacts": [{"source": r.source, "target": r.target} for r in model.impacts],
-        "countermeasures": [
-            {"id": c.id, "label": c.label, "cost": c.expenditure, "per": str(c.per)}
-            for c in model.countermeasures
-        ],
-        "treats": [
-            {
-                "countermeasure": t.countermeasure,
-                "target": t.target,
-                "freq_effect": _value_to_json(t.freq_effect),
-                "cons_effect": _value_to_json(t.cons_effect),
-            }
-            for t in model.treats
-        ],
-        "depends": [
-            {
-                "countermeasure": d.countermeasure,
-                "treats": {"countermeasure": d.treats_countermeasure, "target": d.treats_target},
-                "freq_dep": _value_to_json(d.freq_dep),
-                "cons_dep": _value_to_json(d.cons_dep),
-            }
-            for d in model.depends
-        ],
-        "criteria": [
-            {
-                "risk": a.risk,
-                "max_frequency": None
-                if a.max_frequency is None
-                else _freq_to_json(a.max_frequency),
-                "max_risk_cost": None
-                if a.max_risk_cost is None
-                else {"value": a.max_risk_cost, "per": str(a.max_risk_cost_per)},
-            }
-            for a in model.criteria
-        ],
-    }
+    """Lossless JSON mirror of the DSL, schema version 1.
+
+    Each collection is a list of objects whose keys are the record's fields in
+    declaration order, under the names in ``_JSON_KEYS`` where those differ.
+    Intervals are written as a number or [lo, hi], periods as text like "10y".
+    """
+    doc = dict(schema=JSON_SCHEMA_VERSION, name=model.name, base_period=str(model.base_period))
+    for collection, (_, layout) in _COLLECTIONS.items():
+        doc[collection] = [_record_to_json(r, layout) for r in getattr(model, collection)]
     return json.dumps(doc, indent=2) + "\n"
 
 
@@ -636,92 +652,12 @@ def from_json(text: str, coras: bool = False) -> RiskModel:
         )
 
     try:
-        vertices = tuple(
-            Vertex(
-                v["id"],
-                _VERTEX_KEYWORDS[v["kind"]],
-                v.get("label", ""),
-                None
-                if v.get("consequence") is None
-                else _value_from_json(v["consequence"], f"consequence of {v['id']}"),
-                MergePolicy(v.get("merge", "separate")),
-            )
-            for v in doc.get("vertices", [])
-        )
-        initiates = tuple(
-            InitiateRel(
-                r["source"],
-                r["target"],
-                _freq_from_json(r["frequency"], "initiate frequency"),
-                r.get("via", ""),
-            )
-            for r in doc.get("initiates", [])
-        )
-        leadsto = tuple(
-            LeadsToRel(
-                r["source"],
-                r["target"],
-                _value_from_json(r["likelihood"], "likelihood"),
-                r.get("via", ""),
-            )
-            for r in doc.get("leadsto", [])
-        )
-        impacts = tuple(
-            ImpactRel(r["source"], r["target"]) for r in doc.get("impacts", [])
-        )
-        countermeasures = tuple(
-            Countermeasure(
-                c["id"], c.get("label", ""), float(c["cost"]), _period_from_json(c["per"], "cost period")
-            )
-            for c in doc.get("countermeasures", [])
-        )
-        treats = tuple(
-            TreatsRel(
-                t["countermeasure"],
-                t["target"],
-                _value_from_json(t["freq_effect"], "freq_effect"),
-                _value_from_json(t["cons_effect"], "cons_effect"),
-            )
-            for t in doc.get("treats", [])
-        )
-        depends = tuple(
-            DependsRel(
-                d["countermeasure"],
-                d["treats"]["countermeasure"],
-                d["treats"]["target"],
-                _value_from_json(d["freq_dep"], "freq_dep"),
-                _value_from_json(d["cons_dep"], "cons_dep"),
-            )
-            for d in doc.get("depends", [])
-        )
-        criteria = tuple(
-            AcceptanceCriterion(
-                a["risk"],
-                max_frequency=None
-                if a.get("max_frequency") is None
-                else _freq_from_json(a["max_frequency"], "max_frequency"),
-                max_risk_cost=None
-                if a.get("max_risk_cost") is None
-                else float(a["max_risk_cost"]["value"]),
-                max_risk_cost_per=None
-                if a.get("max_risk_cost") is None
-                else _period_from_json(a["max_risk_cost"]["per"], "max_risk_cost period"),
-            )
-            for a in doc.get("criteria", [])
-        )
         model = RiskModel(
-            name=doc.get("name", ""),
+            name=_text_from_json(doc.get("name", ""), "name"),
             base_period=_period_from_json(doc.get("base_period"), "base_period"),
-            vertices=vertices,
-            initiates=initiates,
-            leadsto=leadsto,
-            countermeasures=countermeasures,
-            treats=treats,
-            depends=depends,
-            impacts=impacts,
-            criteria=criteria,
+            **{c: _records_from_json(doc.get(c, []), c) for c in _COLLECTIONS},
         )
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, ValueError, OverflowError) as e:
         raise DslSemanticError(f"malformed model JSON: {e}") from None
 
     errors = [d for d in validate(model, coras=coras) if d.is_error]

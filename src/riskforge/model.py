@@ -176,13 +176,14 @@ class RiskModel:
 
     name: str
     base_period: Period
+    # Collections in the order both the DSL and its JSON mirror write them.
     vertices: tuple[Vertex, ...] = ()
     initiates: tuple[InitiateRel, ...] = ()
     leadsto: tuple[LeadsToRel, ...] = ()
+    impacts: tuple[ImpactRel, ...] = ()
     countermeasures: tuple[Countermeasure, ...] = ()
     treats: tuple[TreatsRel, ...] = ()
     depends: tuple[DependsRel, ...] = ()
-    impacts: tuple[ImpactRel, ...] = ()
     criteria: tuple[AcceptanceCriterion, ...] = ()
 
     def vertex(self, vid: str) -> Vertex:
@@ -215,10 +216,11 @@ class RiskModel:
         ]
 
     def intervals(self) -> Iterator[tuple[str, Interval]]:
-        """(description, value) of every interval annotation: frequencies,
-        likelihoods, effects, dependencies and consequences."""
+        """(description, value) of every interval annotation: frequencies per
+        base period, likelihoods, effects, dependencies and consequences."""
+        base = self.base_period
         for r in self.initiates:
-            yield f"initiate {r.source}->{r.target} frequency", r.frequency.occurrences
+            yield f"initiate {r.source}->{r.target} frequency", r.frequency.per_period(base)
         for r in self.leadsto:
             yield f"leadsto {r.source}->{r.target} likelihood", r.likelihood
         for t in self.treats:
@@ -298,6 +300,16 @@ def validate(model: RiskModel, coras: bool = False) -> list[Diagnostic]:
         if c.id in seen or c.id in cm_seen:
             err(f"duplicate id {c.id!r}")
         cm_seen.add(c.id)
+    declared = (*model.vertices, *model.countermeasures)
+    for x in declared:
+        if not (x.id.isascii() and x.id.isidentifier()):  # [A-Za-z_][A-Za-z0-9_]*, as in the DSL
+            err(f"id {x.id!r} is not an identifier")
+    vias = [r.via for r in (*model.initiates, *model.leadsto)]
+    for text in [model.name, *(x.label for x in declared), *vias]:
+        # The DSL quotes a text on one line. No line break is printable, and
+        # str.splitlines knows every one.
+        if '"' in text or (not text.isprintable() and "".join(text.splitlines()) != text):
+            err(f"text {text!r} contains a double quote or a line break")
 
     ids = {v.id for v in model.vertices}
     core_ids = {v.id for v in model.core_vertices}
@@ -310,8 +322,6 @@ def validate(model: RiskModel, coras: bool = False) -> list[Diagnostic]:
             err(f"initiate source {r.source!r} is not a threat")
         if r.target not in core_ids:
             err(f"initiate target {r.target!r} is not a scenario or incident")
-        if r.frequency.occurrences.lo < 0:
-            err(f"initiate {r.source}->{r.target} has a negative frequency")
 
     for r in model.leadsto:
         if r.source not in ids or r.target not in ids:
@@ -367,22 +377,28 @@ def validate(model: RiskModel, coras: bool = False) -> list[Diagnostic]:
             if not unit_box.contains(iv):
                 err(f"depends {d.countermeasure} {what} dependency outside [0,1]")
 
+    # Numbers are checked as the calculus uses them, rescaled to the base period.
+    numbers = list(model.intervals()) + [
+        (f"expenditure of {c.id!r}", Interval.point(c.expenditure_per(model.base_period)))
+        for c in model.countermeasures
+    ]
+    risks: set[str] = set()
     for a in model.criteria:
+        if a.risk in risks:
+            err(f"duplicate acceptance criterion for {a.risk!r}")
+        risks.add(a.risk)
         if a.risk not in ids:
             err(f"acceptance criterion references undeclared vertex {a.risk!r}")
         elif model.vertex(a.risk).kind is not VertexKind.UNWANTED_INCIDENT:
             err(f"acceptance criterion target {a.risk!r} is not an incident")
         if a.max_frequency is None and a.max_risk_cost is None:
             err(f"acceptance criterion for {a.risk!r} has no bound")
-
-    numbers = list(model.intervals()) + [
-        (f"expenditure of {c.id!r}", Interval.point(c.expenditure)) for c in model.countermeasures
-    ]
-    for a in model.criteria:
-        if a.max_frequency is not None:
-            numbers.append((f"frequency bound for {a.risk!r}", a.max_frequency.occurrences))
-        if a.max_risk_cost is not None:
-            numbers.append((f"cost bound for {a.risk!r}", Interval.point(a.max_risk_cost)))
+        if a.max_risk_cost is not None and a.max_risk_cost_per is None:
+            err(f"cost bound for {a.risk!r} has no period")
+            continue
+        for what, bound in zip(("frequency", "cost"), a.bounds(model.base_period)):
+            if bound is not None:
+                numbers.append((f"{what} bound for {a.risk!r}", Interval.point(bound)))
     for what, iv in numbers:
         if not (math.isfinite(iv.lo) and math.isfinite(iv.hi)):
             err(f"{what} is not a finite number")

@@ -40,31 +40,26 @@ class OracleError(Exception):
 class ImpactMap:
     """Consequence of one event class as a function of the applied countermeasures.
 
-    Realizes the declared consequence-reduction effects multiplicatively, which
-    makes the map antitone: more countermeasures never increase the consequence.
+    Realizes the declared consequence-reduction effects multiplicatively, in
+    countermeasure-id order. Each effect lies in [0,1] and rounding is monotone,
+    so the map is antitone: more countermeasures never increase the consequence.
     """
 
     def __init__(self, base: float, effects: dict[str, float]):
+        for c, e in effects.items():
+            if not 0.0 <= e <= 1.0:
+                raise OracleError(
+                    f"impact map not antitone: effect {e:g} of {c!r} is outside [0,1]"
+                )
         self.base = base
         self.effects = dict(sorted(effects.items()))
-        self._table = {}
-        cms = list(self.effects)
-        for mask in range(2 ** len(cms)):
-            subset = frozenset(cms[i] for i in range(len(cms)) if mask >> i & 1)
-            value = base
-            for c in subset:
-                value *= 1.0 - self.effects[c]
-            self._table[subset] = value
-        for cs, value in self._table.items():
-            for c in self.effects:
-                if c not in cs and self._table[cs | {c}] > value + 1e-12:
-                    raise OracleError(
-                        f"impact map not antitone: adding {c!r} to {sorted(cs)} "
-                        f"raises the consequence above {value:g}"
-                    )
 
     def __call__(self, cs: frozenset) -> float:
-        return self._table[frozenset(c for c in cs if c in self.effects)]
+        value = self.base
+        for c, e in self.effects.items():
+            if c in cs:
+                value *= 1.0 - e
+        return value
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import riskforge
+from riskforge import to_json
 from riskforge.cli import run
 
 RULE_FILE = """\
@@ -205,3 +211,66 @@ def test_one_validation_and_one_enumeration_per_request(ehealth_path, monkeypatc
     )
     assert run([argv[0], ehealth_path, *argv[1:]]) == 0
     assert calls == {"validate": 1, "propagate": 0, "chunks": 1}
+
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+BAD_JSON = {
+    "integer-vertex-id": lambda doc: doc["vertices"][0].update(id=5),
+    "cost-true": lambda doc: doc["countermeasures"][0].update(cost=True),
+    "cost-string": lambda doc: doc["countermeasures"][0].update(cost="12"),
+    "label-with-quote": lambda doc: doc["vertices"][0].update(label='Say "hi"'),
+    "negative-cost-bound": lambda doc: doc["criteria"][0].update(
+        max_risk_cost={"value": -1, "per": "10y"}
+    ),
+}
+
+
+@pytest.mark.parametrize("case", [*BAD_JSON, "rate-overflow"])
+def test_bad_input_is_one_error_line(case, ehealth, tmp_path, capsys):
+    if case == "rate-overflow":
+        path = tmp_path / "model.riskdsl"
+        path.write_text(RULE_FILE.replace("frequency 3:1y", "frequency 1e308:1d"))
+    else:
+        doc = json.loads(to_json(ehealth))
+        BAD_JSON[case](doc)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+    assert run(["validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_outputs_independent_of_hash_seed():
+    # Each hash seed iterates sets in another order; no output may depend on it.
+    code = """
+import contextlib, io, json, sys
+from riskforge.cli import run
+ehealth, many_treats = sys.argv[1:]
+results = []
+for argv in (
+    ["synergy", ehealth, "--format", "json"],
+    ["analyze", ehealth, "--risk", "LMD", "--format", "dot"],
+    ["export", ehealth, "--to", "json"],
+    ["simulate", many_treats, "--rule", "cm_effect", "--runs", "5", "--horizon", "50"],
+):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        results.append([argv[0], run(argv), out.getvalue()])
+print(json.dumps(results))
+"""
+    src = str(Path(riskforge.__file__).parent.parent)
+    files = [str(FIXTURES / "ehealth.riskdsl"), str(FIXTURES / "many_treats.riskdsl")]
+    outputs = set()
+    for seed in ("0", "1", "2", "3", "4", "5"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *files], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        results = json.loads(proc.stdout)
+        assert [(command, status) for command, status, _ in results] == [
+            ("synergy", 0), ("analyze", 0), ("export", 0), ("simulate", 0)
+        ], proc.stderr
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1

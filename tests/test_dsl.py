@@ -1,9 +1,11 @@
+import copy
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from riskforge import (
@@ -17,6 +19,7 @@ from riskforge import (
     serialize,
     to_json,
 )
+from riskforge.cli import run
 from riskforge.dsl import canonical
 
 from genmodels import random_model
@@ -137,6 +140,16 @@ def test_coras_mode_rejects_high_likelihood():
         parse(text, coras=True)
 
 
+def test_parse_rejects_dependency_on_own_effect():
+    text = HEADER + (
+        "threat T\nincident R consequence 1\ninitiate T -> R frequency 1:1y\n"
+        "countermeasure C cost 1:1y\ntreats C -> R effect 0.5L 0C\n"
+        "depends C -> (C -> R) effect 0.5L 0C\n"
+    )
+    with pytest.raises(DslSemanticError, match="'C' cannot depend on its own effect"):
+        parse(text)
+
+
 def test_via_clause_is_kept(ehealth):
     nf = next(r for r in ehealth.initiates if r.source == "NF")
     assert nf.via == "unstable/unreliable network connection"
@@ -196,3 +209,144 @@ def test_loaders_reject_non_finite_numbers(slot, value, as_interval, as_json):
         load(text)
     if not value < 0:  # a negative number fails its own sign check first
         assert "is not a finite number" in str(exc.value)
+
+
+def _full_json_doc() -> dict:
+    """The e-health model as JSON, with an interval and a cost bound, so every
+    key of schema version 1 appears."""
+    model = parse((Path(__file__).parent / "fixtures" / "ehealth.riskdsl").read_text())
+    doc = json.loads(to_json(model))
+    next(v for v in doc["vertices"] if v["id"] == "LMD")["consequence"] = [4000, 6000]
+    doc["criteria"][0]["max_risk_cost"] = {"value": 100000, "per": "10y"}
+    return doc
+
+
+FULL_DOC = _full_json_doc()
+
+
+def _paths(node, prefix=()):
+    """The path of every value below a JSON object or list."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _paths(child, prefix + (key,))
+
+
+_DELETE = object()
+
+
+def _with(doc: dict, path: tuple, value) -> dict:
+    """A copy of the document with the value at the path replaced, or deleted."""
+    doc = copy.deepcopy(doc)
+    holder = doc
+    for key in path[:-1]:
+        holder = holder[key]
+    if value is _DELETE:
+        del holder[path[-1]]
+    else:
+        holder[path[-1]] = value
+    return doc
+
+
+# One value of each JSON type: integers, booleans, strings, null, lists and objects.
+OTHER_TYPES = [0, 7, -3, True, False, "", "x", "12", None, [], [1, 2], {}, {"value": 1}]
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(path=st.sampled_from(sorted(_paths(FULL_DOC), key=str)), value=st.sampled_from(OTHER_TYPES))
+@example(path=("vertices", 0, "id"), value=5)
+@example(path=("countermeasures", 0, "cost"), value=True)
+@example(path=("countermeasures", 0, "cost"), value="12")
+def test_json_value_of_another_type_is_a_model_error(path, value, tmp_path_factory):
+    text = json.dumps(_with(FULL_DOC, path, value))
+    try:
+        model = from_json(text)
+    except DslError:
+        model = None
+    else:
+        assert parse(serialize(model)) == model  # the DSL can write every JSON model
+    file = tmp_path_factory.mktemp("json") / "model.json"
+    file.write_text(text)
+    assert run(["validate", str(file)]) == (1 if model is None else 0)
+
+
+REQUIRED_KEYS = [
+    ("vertices", "id"),
+    ("vertices", "kind"),
+    ("initiates", "source"),
+    ("initiates", "target"),
+    ("initiates", "frequency"),
+    ("leadsto", "source"),
+    ("leadsto", "target"),
+    ("leadsto", "likelihood"),
+    ("impacts", "source"),
+    ("impacts", "target"),
+    ("countermeasures", "id"),
+    ("countermeasures", "cost"),
+    ("countermeasures", "per"),
+    ("treats", "countermeasure"),
+    ("treats", "target"),
+    ("treats", "freq_effect"),
+    ("treats", "cons_effect"),
+    ("depends", "countermeasure"),
+    ("depends", "treats"),
+    ("depends", "treats.countermeasure"),
+    ("depends", "treats.target"),
+    ("depends", "freq_dep"),
+    ("depends", "cons_dep"),
+    ("criteria", "risk"),
+    ("criteria", "max_risk_cost.value"),
+    ("criteria", "max_risk_cost.per"),
+]
+
+
+@pytest.mark.parametrize("collection,key", REQUIRED_KEYS, ids=lambda x: x)
+def test_json_required_key(collection, key):
+    doc = _with(FULL_DOC, (collection, 0, *key.split(".")), _DELETE)
+    with pytest.raises(DslSemanticError, match="malformed model JSON"):
+        from_json(json.dumps(doc))
+
+
+def test_json_optional_keys_may_be_left_out():
+    doc = copy.deepcopy(FULL_DOC)
+    defaults = {"label": "", "via": "", "merge": "separate", "consequence": None}
+    defaults.update(max_frequency=None, max_risk_cost=None)
+    for collection in ("vertices", "initiates", "leadsto", "countermeasures", "criteria"):
+        for obj in doc[collection]:
+            for key in [k for k, v in obj.items() if k in defaults and v == defaults[k]]:
+                del obj[key]
+    shorter = json.dumps(doc)
+    assert len(shorter) < len(json.dumps(FULL_DOC))
+    assert from_json(shorter) == from_json(json.dumps(FULL_DOC))
+
+
+@pytest.mark.parametrize(
+    "path,value,message",
+    [
+        (("vertices", 0, "id"), "a b", "id 'a b' is not an identifier"),
+        (("countermeasures", 0, "id"), "1C", "id '1C' is not an identifier"),
+        (("name",), 'Say "hi"', "contains a double quote or a line break"),
+        (("vertices", 0, "label"), 'Say "hi"', "contains a double quote or a line break"),
+        (("countermeasures", 0, "label"), "two\nlines", "contains a double quote or a line break"),
+        (("initiates", 0, "via"), "a\rb", "contains a double quote or a line break"),
+        (("leadsto", 0, "via"), "page\u2028break", "contains a double quote or a line break"),
+        (("criteria", 0, "max_risk_cost", "value"), -5, "expected a nonnegative number"),
+        (("criteria",), FULL_DOC["criteria"] * 2, "duplicate acceptance criterion for 'LMD'"),
+    ],
+    ids=[
+        "vertex-id",
+        "countermeasure-id",
+        "name-quote",
+        "label-quote",
+        "label-newline",
+        "via-carriage-return",
+        "via-line-separator",
+        "negative-cost-bound",
+        "duplicate-criterion",
+    ],
+)
+def test_json_model_must_be_one_the_dsl_can_write(path, value, message):
+    doc = _with(FULL_DOC, path, value)
+    with pytest.raises(DslSemanticError, match=message):
+        from_json(json.dumps(doc))

@@ -2,6 +2,8 @@ import pytest
 
 from riskforge import (
     AcceptanceCriterion,
+    CalculusError,
+    Countermeasure,
     Frequency,
     Interval,
     LeadsToRel,
@@ -12,6 +14,7 @@ from riskforge import (
     Vertex,
     VertexKind,
     normalize,
+    recommend,
     validate,
 )
 from dataclasses import replace
@@ -166,3 +169,42 @@ def test_criterion_bounds_per_base_period():
     assert replace(crit, max_frequency=None).bounds(Period(1, "y")) == (None, 1200.0)
     normalized = normalize(RiskModel("m", Period(1, "y"), criteria=(crit,)), Period(1, "m"))
     assert normalized.criteria[0].max_risk_cost == crit.bounds(Period(1, "m"))[1]
+
+
+def test_validate_rejects_cost_bound_without_period(ehealth):
+    broken = replace(ehealth, criteria=(AcceptanceCriterion("LMD", max_risk_cost=5.0),))
+    assert [str(d) for d in validate(broken) if d.is_error] == [
+        "error: cost bound for 'LMD' has no period"
+    ]
+    with pytest.raises(CalculusError, match="has no period"):
+        recommend(broken)
+
+
+def _huge_per_day(model: RiskModel, slot: str) -> RiskModel:
+    """The model with one number at 1e308 per day, finite as declared."""
+    huge = Frequency(Interval.point(1e308), Period(1, "d"))
+    if slot == "rate":
+        nf = next(r for r in model.initiates if r.source == "NF")
+        return replace(model, initiates=(replace(nf, frequency=huge),))
+    if slot == "expenditure":
+        irn = Countermeasure("IRN", expenditure=1e308, per=huge.per)
+        return replace(model, countermeasures=(irn,))
+    if slot == "frequency-bound":
+        return replace(model, criteria=(AcceptanceCriterion("LMD", max_frequency=huge),))
+    crit = AcceptanceCriterion("LMD", max_risk_cost=1e308, max_risk_cost_per=huge.per)
+    return replace(model, criteria=(crit,))
+
+
+@pytest.mark.parametrize(
+    "slot,message",
+    [
+        ("rate", "initiate NF->NCD frequency is not a finite number"),
+        ("expenditure", "expenditure of 'IRN' is not a finite number"),
+        ("frequency-bound", "frequency bound for 'LMD' is not a finite number"),
+        ("cost-bound", "cost bound for 'LMD' is not a finite number"),
+    ],
+    ids=["rate", "expenditure", "frequency-bound", "cost-bound"],
+)
+def test_validate_rejects_numbers_infinite_per_base_period(ehealth, slot, message):
+    broken = _huge_per_day(replace(ehealth, treats=(), depends=()), slot)
+    assert [d.message for d in validate(broken) if d.is_error] == [message]

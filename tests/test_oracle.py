@@ -243,3 +243,22 @@ def test_check_rule_validates_once(monkeypatch):
     instance = random_rule_instance("separate", np.random.default_rng(3))
     check_rule("separate", instance, runs=5, horizon=100.0)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("effect", [1.5, float("nan")])
+def test_impact_map_rejects_an_effect_outside_unit_range(effect):
+    with pytest.raises(OracleError, match="not antitone"):
+        ImpactMap(100.0, {"B": effect})
+
+
+def test_impact_map_is_antitone_over_every_subset():
+    # Products of these effects round differently in different orders.
+    effects = {"C1": 0.1, "C2": 0.3, "C3": 0.0, "C4": 0.37, "C5": 0.113}
+    imp = ImpactMap(123456.789, effects)
+    subsets = [frozenset(c for i, c in enumerate(effects) if m >> i & 1) for m in range(32)]
+    for cs in subsets:
+        expected = 123456.789
+        for c in sorted(cs):
+            expected *= 1.0 - effects[c]
+        assert imp(cs) == expected
+        assert all(imp(cs | {c}) <= imp(cs) for c in effects)
