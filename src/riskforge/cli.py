@@ -210,6 +210,7 @@ def run(argv: list[str]) -> int:
         synergy.SynergyError,
         oracle.OracleError,
         OSError,
+        UnicodeDecodeError,  # a model file that is not UTF-8
     ) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_MODEL_ERROR

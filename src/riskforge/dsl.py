@@ -12,8 +12,9 @@ import enum
 import json
 import re
 from dataclasses import dataclass, fields, replace
+from functools import partial
 from operator import attrgetter
-from typing import Callable, Optional, Union, get_args, get_origin, get_type_hints
+from typing import Callable, NamedTuple, Optional, Union, get_args, get_origin, get_type_hints
 
 from .intervals import Interval
 from .model import (
@@ -65,204 +66,102 @@ class DslSemanticError(DslError):
 _TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+)
+  | (?P<comment>\#.*)
   | (?P<string>"[^"\n]*")
   | (?P<number>-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<arrow>->)
   | (?P<le><=)
   | (?P<punct>[\[\],:()])
+  | (?P<bad>.)
     """,
     re.VERBOSE,
 )
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
-    span: SourceSpan
-
-
-def _tokenize_line(text: str, line_no: int) -> list[_Token]:
-    tokens: list[_Token] = []
-    pos = 0
-    while pos < len(text):
-        if text[pos] == "#":
-            break
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise DslSyntaxError(
-                f"unexpected character {text[pos]!r}", SourceSpan(line_no, pos + 1)
-            )
-        kind = m.lastgroup
-        if kind != "ws":
-            tokens.append(_Token(kind, m.group(), SourceSpan(line_no, pos + 1)))
-        pos = m.end()
-    return tokens
-
-
-class _LineParser:
-    def __init__(self, tokens: list[_Token], line_no: int, line_len: int):
-        self.tokens = tokens
-        self.i = 0
-        self.line_no = line_no
-        self.line_len = line_len
+    line: int
+    column: int
 
     @property
     def span(self) -> SourceSpan:
-        if self.i < len(self.tokens):
-            return self.tokens[self.i].span
-        return SourceSpan(self.line_no, max(1, self.line_len))
+        return SourceSpan(self.line, self.column)
 
-    def done(self) -> bool:
-        return self.i >= len(self.tokens)
 
-    def peek(self) -> Optional[_Token]:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
+class _LineParser:
+    """Tokenizes one line and reads the values of its statement. It checks only
+    what it needs to build them; every other rule is ``validate``'s."""
+
+    def __init__(self, text: str, line_no: int):
+        tokens: list[_Token] = []
+        for m in _TOKEN_RE.finditer(text):
+            kind = m.lastgroup
+            if kind == "comment":
+                break
+            if kind != "ws":
+                tokens.append(_Token(kind, m.group(), line_no, m.start() + 1))
+                if kind == "bad":
+                    raise DslSyntaxError(f"unexpected character {m.group()!r}", tokens[-1].span)
+        tokens.append(_Token("end", "", line_no, max(1, len(text))))  # marks the end of the line
+        self.tokens = tokens
+        self.i = 0
 
     def take(self, kind: str, what: str, text: Optional[str] = None) -> _Token:
-        tok = self.peek()
-        if tok is None or tok.kind != kind or (text is not None and tok.text != text):
-            raise DslSyntaxError(f"expected {what}", self.span)
+        tok = self.tokens[self.i]
+        if tok.kind != kind or (text is not None and tok.text != text):
+            raise DslSyntaxError(f"expected {what}", tok.span)
         self.i += 1
         return tok
 
-    def ident(self, what: str = "identifier") -> _Token:
-        return self.take("ident", what)
+    def ident(self, what: str) -> str:
+        return self.take("ident", f"{what} id").text
 
-    def keyword(self, word: str):
-        tok = self.peek()
-        if tok is None or tok.kind != "ident" or tok.text != word:
-            raise DslSyntaxError(f"expected {word!r}", self.span)
+    def string(self, what: str) -> str:
+        return self.take("string", f"{what} string").text[1:-1]
+
+    def number(self, what: str, expected: Optional[str] = None) -> float:
+        tok = self.take("number", expected or what)
+        x = float(tok.text)
+        if x < 0:  # as in the JSON reader
+            raise DslSemanticError(f"{what} must be >= 0", tok.span)
+        return x
+
+    def value(self, what: str) -> Interval:
+        tok = self.tokens[self.i]
+        if tok.text != "[":
+            return Interval.point(self.number(what))
         self.i += 1
+        lo = self.number(what, "interval lower bound")
+        self.take("punct", "','", ",")
+        hi = self.number(what, "interval upper bound")
+        self.take("punct", "']'", "]")
+        if lo > hi:
+            raise DslSemanticError(f"empty interval [{lo:g},{hi:g}]", tok.span)
+        return Interval(lo, hi)
 
-    def opt_string(self) -> str:
-        tok = self.peek()
-        if tok is not None and tok.kind == "string":
-            self.i += 1
-            return tok.text[1:-1]
-        return ""
+    def period(self, what: str) -> Period:
+        magnitude = self.take("number", "period magnitude")
+        if not magnitude.text.isdigit() or int(magnitude.text) == 0:
+            raise DslSyntaxError("period magnitude must be a positive integer", magnitude.span)
+        unit = self.take("ident", "period unit d, m or y")
+        if unit.text not in ("d", "m", "y"):
+            raise DslSyntaxError("period unit must be d, m or y", unit.span)
+        return Period(int(magnitude.text), unit.text)
 
-    def number(self, what: str = "number") -> tuple[float, SourceSpan]:
-        tok = self.take("number", what)
-        return float(tok.text), tok.span
-
-    def value(self, what: str = "number or interval") -> tuple[Interval, SourceSpan]:
-        tok = self.peek()
-        if tok is not None and tok.kind == "punct" and tok.text == "[":
-            span = tok.span
-            self.i += 1
-            lo, _ = self.number("interval lower bound")
-            self.take("punct", "','", ",")
-            hi, _ = self.number("interval upper bound")
-            self.take("punct", "']'", "]")
-            if lo > hi:
-                raise DslSemanticError(f"empty interval [{lo:g},{hi:g}]", span)
-            return Interval(lo, hi), span
-        x, span = self.number(what)
-        return Interval.point(x), span
-
-    def period(self) -> tuple[Period, SourceSpan]:
-        mag_tok = self.take("number", "period magnitude")
-        if not re.fullmatch(r"\d+", mag_tok.text):
-            raise DslSyntaxError("period magnitude must be a positive integer", mag_tok.span)
-        unit_tok = self.take("ident", "period unit d, m or y")
-        if unit_tok.text not in ("d", "m", "y"):
-            raise DslSyntaxError("period unit must be d, m or y", unit_tok.span)
-        mag = int(mag_tok.text)
-        if mag <= 0:
-            raise DslSemanticError("period magnitude must be positive", mag_tok.span)
-        return Period(mag, unit_tok.text), mag_tok.span
-
-    def freqspec(self) -> tuple[Frequency, SourceSpan]:
-        occ, span = self.value("frequency value")
-        if occ.lo < 0:
-            raise DslSemanticError("frequency must be >= 0", span)
+    def frequency(self, what: str) -> Frequency:
+        occurrences = self.value(what)
         self.take("punct", "':'", ":")
-        per, _ = self.period()
-        return Frequency(occ, per), span
+        return Frequency(occurrences, self.period(what))
 
-    def effect_pair(self) -> tuple[Interval, Interval]:
-        out = []
-        for suffix in ("L", "C"):
-            iv, span = self.value(f"effect value with {suffix} suffix")
-            self.take("ident", f"'{suffix}' suffix", suffix)
-            if iv.lo < 0 or iv.hi > 1:
-                raise DslSemanticError("effect must lie within [0,1]", span)
-            out.append(iv)
-        return out[0], out[1]
-
-    def opt_via(self) -> str:
-        tok = self.peek()
-        if tok is not None and tok.kind == "ident" and tok.text == "via":
-            self.i += 1
-            s = self.take("string", "string after 'via'")
-            return s.text[1:-1]
-        return ""
-
-    def finish(self):
-        if not self.done():
-            raise DslSyntaxError("unexpected trailing input", self.span)
-
-
-class _Builder:
-    def __init__(self):
-        self.name: Optional[str] = None
-        self.base_period: Optional[Period] = None
-        self.vertices: list[Vertex] = []
-        self.initiates: list[InitiateRel] = []
-        self.leadsto: list[LeadsToRel] = []
-        self.countermeasures: list[Countermeasure] = []
-        self.treats: list[TreatsRel] = []
-        self.depends: list[DependsRel] = []
-        self.impacts: list[ImpactRel] = []
-        self.merge_overrides: dict[str, MergePolicy] = {}
-        self.accept_freq: dict[str, Frequency] = {}
-        self.accept_cost: dict[str, tuple[float, Period]] = {}
-        self.ids: dict[str, SourceSpan] = {}
-
-    def declare(self, ident: _Token):
-        if ident.text in self.ids:
-            raise DslSemanticError(f"duplicate id {ident.text!r}", ident.span)
-        self.ids[ident.text] = ident.span
-
-    def build(self, where: SourceSpan) -> RiskModel:
-        if self.name is None or self.base_period is None:
-            raise DslSemanticError("missing 'riskmodel' header line", where)
-        declared = {v.id for v in self.vertices}
-        for vid in self.merge_overrides:
-            if vid not in declared:
-                raise DslSemanticError(f"merge policy for undeclared vertex {vid!r}",
-                                       self.ids.get(vid, where))
-        vertices = []
-        for v in self.vertices:
-            policy = self.merge_overrides.get(v.id, MergePolicy.SEPARATE)
-            vertices.append(
-                Vertex(v.id, v.kind, v.label, v.consequence, policy)
-            )
-        criteria = []
-        for risk in sorted(set(self.accept_freq) | set(self.accept_cost)):
-            cost = self.accept_cost.get(risk)
-            criteria.append(
-                AcceptanceCriterion(
-                    risk,
-                    max_frequency=self.accept_freq.get(risk),
-                    max_risk_cost=cost[0] if cost else None,
-                    max_risk_cost_per=cost[1] if cost else None,
-                )
-            )
-        return RiskModel(
-            name=self.name,
-            base_period=self.base_period,
-            vertices=tuple(vertices),
-            initiates=tuple(self.initiates),
-            leadsto=tuple(self.leadsto),
-            countermeasures=tuple(self.countermeasures),
-            treats=tuple(self.treats),
-            depends=tuple(self.depends),
-            impacts=tuple(self.impacts),
-            criteria=tuple(criteria),
-        )
+    def member(self, what: str, kind: type[enum.Enum]) -> enum.Enum:
+        tok = self.take("ident", what)
+        try:
+            return kind(tok.text)
+        except ValueError:
+            *first, last = [m.value for m in kind]
+            raise DslSyntaxError(f"{what} must be {', '.join(first)} or {last}", tok.span) from None
 
 
 def canonical(model: RiskModel) -> RiskModel:
@@ -290,144 +189,6 @@ def canonical(model: RiskModel) -> RiskModel:
     )
 
 
-# A vertex statement's keyword is its kind's value.
-_VERTEX_KEYWORDS = {kind.value: kind for kind in VertexKind}
-
-
-def parse(text: str, coras: bool = False) -> RiskModel:
-    """Parse DSL text into a validated RiskModel.
-
-    Raises DslSyntaxError or DslSemanticError, each carrying a SourceSpan.
-    With coras=True, likelihoods above 1 are rejected.
-    """
-    b = _Builder()
-    last_span = SourceSpan(1, 1)
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        tokens = _tokenize_line(raw, line_no)
-        if not tokens:
-            continue
-        p = _LineParser(tokens, line_no, len(raw))
-        last_span = tokens[0].span
-        head = p.ident("statement keyword")
-        kw = head.text
-
-        if kw == "riskmodel":
-            if b.name is not None:
-                raise DslSemanticError("duplicate 'riskmodel' line", head.span)
-            name = p.take("string", "model name string").text[1:-1]
-            p.keyword("timeunit")
-            period, _ = p.period()
-            b.name, b.base_period = name, period
-        elif kw in _VERTEX_KEYWORDS:
-            ident = p.ident(f"{kw} id")
-            b.declare(ident)
-            label = p.opt_string()
-            consequence = None
-            if kw == "incident":
-                p.keyword("consequence")
-                consequence, _ = p.value("consequence")
-            b.vertices.append(Vertex(ident.text, _VERTEX_KEYWORDS[kw], label, consequence))
-        elif kw == "initiate":
-            src = p.ident("threat id")
-            p.take("arrow", "'->'")
-            dst = p.ident("target id")
-            p.keyword("frequency")
-            freq, _ = p.freqspec()
-            via = p.opt_via()
-            b.initiates.append(InitiateRel(src.text, dst.text, freq, via))
-        elif kw == "leadsto":
-            src = p.ident("source id")
-            p.take("arrow", "'->'")
-            dst = p.ident("target id")
-            p.keyword("likelihood")
-            lik, span = p.value("likelihood")
-            if lik.lo < 0:
-                raise DslSemanticError("likelihood must be >= 0", span)
-            if coras and lik.hi > 1:
-                raise DslSemanticError("likelihood exceeds 1 in CORAS mode", span)
-            via = p.opt_via()
-            b.leadsto.append(LeadsToRel(src.text, dst.text, lik, via))
-        elif kw == "impact":
-            src = p.ident("incident id")
-            p.take("arrow", "'->'")
-            dst = p.ident("asset id")
-            b.impacts.append(ImpactRel(src.text, dst.text))
-        elif kw == "countermeasure":
-            ident = p.ident("countermeasure id")
-            b.declare(ident)
-            label = p.opt_string()
-            p.keyword("cost")
-            cost, span = p.number("cost")
-            if cost < 0:
-                raise DslSemanticError("cost must be >= 0", span)
-            p.take("punct", "':'", ":")
-            period, _ = p.period()
-            b.countermeasures.append(Countermeasure(ident.text, label, cost, period))
-        elif kw == "treats":
-            cm = p.ident("countermeasure id")
-            p.take("arrow", "'->'")
-            target = p.ident("target id")
-            p.keyword("effect")
-            e_f, e_i = p.effect_pair()
-            b.treats.append(TreatsRel(cm.text, target.text, e_f, e_i))
-        elif kw == "depends":
-            cm = p.ident("countermeasure id")
-            p.take("arrow", "'->'")
-            p.take("punct", "'('", "(")
-            t_cm = p.ident("treating countermeasure id")
-            p.take("arrow", "'->'")
-            t_target = p.ident("treated vertex id")
-            p.take("punct", "')'", ")")
-            p.keyword("effect")
-            d_f, d_i = p.effect_pair()
-            b.depends.append(DependsRel(cm.text, t_cm.text, t_target.text, d_f, d_i))
-        elif kw == "merge":
-            ident = p.ident("vertex id")
-            policy = p.ident("merge policy")
-            try:
-                b.merge_overrides[ident.text] = MergePolicy(policy.text)
-            except ValueError:
-                raise DslSyntaxError(
-                    "merge policy must be separate, exclusive or overlapping", policy.span
-                ) from None
-        elif kw == "accept":
-            risk = p.ident("risk id")
-            what = p.ident("'frequency' or 'cost'")
-            p.take("le", "'<='")
-            if what.text == "frequency":
-                if risk.text in b.accept_freq:
-                    raise DslSemanticError(
-                        f"duplicate frequency criterion for {risk.text!r}", risk.span
-                    )
-                freq, _ = p.freqspec()
-                b.accept_freq[risk.text] = freq
-            elif what.text == "cost":
-                if risk.text in b.accept_cost:
-                    raise DslSemanticError(
-                        f"duplicate cost criterion for {risk.text!r}", risk.span
-                    )
-                cost, span = p.number("cost bound")
-                if cost < 0:
-                    raise DslSemanticError("cost bound must be >= 0", span)
-                p.take("punct", "':'", ":")
-                period, _ = p.period()
-                b.accept_cost[risk.text] = (cost, period)
-            else:
-                raise DslSyntaxError("expected 'frequency' or 'cost'", what.span)
-        else:
-            raise DslSyntaxError(f"unknown statement {kw!r}", head.span)
-        p.finish()
-
-    model = b.build(last_span)
-    errors = [d for d in validate(model, coras=coras) if d.is_error]
-    if errors:
-        first = errors[0].message
-        ident = re.search(r"'([A-Za-z_][A-Za-z0-9_]*)'", first)
-        span = b.ids.get(ident.group(1)) if ident else None
-        raise DslSemanticError("; ".join(d.message for d in errors), span or SourceSpan(1, 1))
-    return mark_valid(canonical(model))
-
-
 def _fmt_num(x: float) -> str:
     if x == int(x) and abs(x) < 1e15:
         return str(int(x))
@@ -444,56 +205,216 @@ def _fmt_freq(f: Frequency) -> str:
     return f"{_fmt_value(f.occurrences)}:{f.per}"
 
 
+def _field_types(record: type) -> dict[str, type]:
+    """Each field's type, with Optional[T] read as T."""
+    types = {}
+    for name, kind in get_type_hints(record).items():
+        types[name] = get_args(kind)[0] if get_origin(kind) is Union else kind
+    return types
+
+
+# (write, read) per field type, as _CODECS is for JSON. A quoted field is a string.
+_DSL_CODECS: dict[type, tuple[Callable, Callable]] = {
+    str: (str, _LineParser.ident),
+    float: (_fmt_num, _LineParser.number),
+    Interval: (_fmt_value, _LineParser.value),
+    Frequency: (_fmt_freq, _LineParser.frequency),
+    Period: (str, _LineParser.period),
+    VertexKind: (attrgetter("value"), partial(_LineParser.member, kind=VertexKind)),
+    MergePolicy: (attrgetter("value"), partial(_LineParser.member, kind=MergePolicy)),
+}
+_QUOTED = ('"{}"'.format, _LineParser.string)
+
+
+class _Literal(NamedTuple):
+    text: str  # as written
+    tokens: tuple[_Token, ...]  # as read
+
+    def write(self, record) -> str:
+        return self.text
+
+    def read(self, p: _LineParser, values: dict):
+        for tok in self.tokens:
+            p.take(tok.kind, repr(tok.text), tok.text)
+
+
+class _Field(NamedTuple):
+    name: str
+    what: str  # the field as error messages name it
+    write_value: Callable
+    read_value: Callable
+
+    def write(self, record) -> str:
+        return self.write_value(getattr(record, self.name))
+
+    def read(self, p: _LineParser, values: dict):
+        values[self.name] = self.read_value(p, self.what)
+
+
+class _Group(NamedTuple):
+    """A template, or an optional part of one, which starts with a literal or a
+    quoted field: that part is written when its field is set and read when its
+    first token's (kind, text) is next; a text of None matches any."""
+
+    pieces: tuple
+    name: Optional[str] = None
+    first: Optional[tuple[str, Optional[str]]] = None
+
+    def write(self, record) -> str:
+        if self.name is not None and getattr(record, self.name) in (None, ""):
+            return ""
+        return "".join([piece.write(record) for piece in self.pieces])
+
+    def read(self, p: _LineParser, values: dict) -> dict:
+        tok = p.tokens[p.i]
+        kind, text = self.first or (tok.kind, None)
+        if tok.kind == kind and text in (None, tok.text):
+            for piece in self.pieces:
+                piece.read(p, values)
+        return values
+
+
+_PIECE_RE = re.compile(r'(\[)|(\])|("?)\{(\w+)\}\3|([^[\]{"]+)')
+
+
+def _statement(record: type, template: str) -> tuple[type, _Group]:
+    """The record type and the pieces of a statement's template."""
+    types = _field_types(record)
+    groups: list[list] = [[]]
+    for m in _PIECE_RE.finditer(template):
+        opening, closing, quote, name, text = m.groups()
+        if opening:
+            groups.append([])
+        elif closing:
+            pieces = tuple(groups.pop())
+            lead = next(q for q in pieces if not isinstance(q, _Literal) or q.tokens)
+            first = lead.tokens[0][:2] if isinstance(lead, _Literal) else ("string", None)
+            name = next(q.name for q in pieces if isinstance(q, _Field))
+            groups[-1].append(_Group(pieces, name, first))
+        elif name:
+            write, read = _QUOTED if quote else _DSL_CODECS[types[name]]
+            what = record.__name__.lower() if name == "id" else name.replace("_", " ")
+            groups[-1].append(_Field(name, what, write, read))
+        else:
+            groups[-1].append(_Literal(text, tuple(_LineParser(text, 0).tokens[:-1])))
+    return record, _Group(tuple(groups[0]))
+
+
+_VERTEX = '{kind} {id}[ "{label}"]'
+
+# The grammar: one statement per record, keyed by its first word (the two
+# accept statements by their first and third), with a template that reads like
+# the line serialize writes. In a template, {field} is a field of the record,
+# written and read by the codec of its type, and "{field}" a quoted string;
+# [...] is written when its first field is set and read when its first token
+# is next; any other text is literal.
+_GRAMMAR = {
+    "riskmodel": (RiskModel, 'riskmodel "{name}" timeunit {base_period}'),
+    "threat": (Vertex, _VERTEX),
+    "scenario": (Vertex, _VERTEX),
+    "incident": (Vertex, _VERTEX + " consequence {consequence}"),
+    "asset": (Vertex, _VERTEX),
+    "merge": (Vertex, "merge {id} {merge_policy}"),
+    "initiate": (InitiateRel, 'initiate {source} -> {target} frequency {frequency}[ via "{via}"]'),
+    "leadsto": (LeadsToRel, 'leadsto {source} -> {target} likelihood {likelihood}[ via "{via}"]'),
+    "impact": (ImpactRel, "impact {source} -> {target}"),
+    "countermeasure": (Countermeasure, 'countermeasure {id}[ "{label}"] cost {expenditure}:{per}'),
+    "treats": (
+        TreatsRel,
+        "treats {countermeasure} -> {target} effect {freq_effect}L {cons_effect}C",
+    ),
+    "depends": (
+        DependsRel,
+        "depends {countermeasure} -> ({treats_countermeasure} -> {treats_target}) "
+        "effect {freq_dep}L {cons_dep}C",
+    ),
+    "accept frequency": (AcceptanceCriterion, "accept {risk} frequency <= {max_frequency}"),
+    "accept cost": (
+        AcceptanceCriterion,
+        "accept {risk} cost <= {max_risk_cost}:{max_risk_cost_per}",
+    ),
+}
+_STATEMENTS = {key: _statement(*statement) for key, statement in _GRAMMAR.items()}
+
+
+def parse(text: str, coras: bool = False) -> RiskModel:
+    """Parse DSL text into a validated RiskModel.
+
+    Raises DslSyntaxError or DslSemanticError, each carrying a SourceSpan; a
+    ``validate`` error points at the statement of the record at fault. With
+    coras=True, likelihoods above 1 are rejected.
+    """
+    header: Optional[dict] = None
+    statements: list[tuple[type, dict, SourceSpan]] = []  # in source order
+    merges: dict[str, tuple[MergePolicy, SourceSpan]] = {}
+    criteria: dict[str, dict] = {}  # risk -> values of its first criterion
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        p = _LineParser(raw, line_no)
+        head = p.tokens[0]
+        if head.kind == "end":
+            continue
+        key = head.text
+        if key == "accept":  # the word after the risk picks one of two statements
+            word = p.tokens[min(2, len(p.tokens) - 1)]
+            key += f" {word.text}"
+            if key not in _STATEMENTS:
+                raise DslSyntaxError("expected 'frequency' or 'cost'", word.span)
+        elif key not in _STATEMENTS:
+            raise DslSyntaxError(f"unknown statement {key!r}", head.span)
+        record, template = _STATEMENTS[key]
+        values = template.read(p, {})
+        p.take("end", "end of line")
+        if record is RiskModel:
+            if header is not None:
+                raise DslSemanticError("duplicate 'riskmodel' line", head.span)
+            header = values
+            continue
+        if key == "merge":
+            merges[values["id"]] = (values["merge_policy"], head.span)
+            continue
+        if record is AcceptanceCriterion:
+            first = criteria.setdefault(values["risk"], values)
+            if first is not values and first.keys() & values.keys() == {"risk"}:
+                first.update(values)  # the risk's other bound
+                continue
+        statements.append((record, values, head.span))
+
+    if header is None:
+        raise DslSemanticError("missing 'riskmodel' header line", SourceSpan(1, 1))
+    collections: dict[str, list] = {name: [] for name in _COLLECTIONS}
+    spans: dict[int, SourceSpan] = {}  # id(record) -> its statement's span
+    for record, values, span in statements:
+        if record is Vertex and values["id"] in merges:
+            values["merge_policy"] = merges.pop(values["id"])[0]
+        r = record(**values)
+        collections[_COLLECTION_OF[record]].append(r)
+        spans[id(r)] = span
+    if merges:  # for an id that no vertex declares
+        vid, (_, span) = next(iter(merges.items()))
+        raise DslSemanticError(f"merge policy for undeclared vertex {vid!r}", span)
+    model = RiskModel(**header, **{name: tuple(rs) for name, rs in collections.items()})
+    errors = [d for d in validate(model, coras=coras) if d.is_error]
+    if errors:
+        span = spans.get(id(errors[0].subject), SourceSpan(1, 1))
+        raise DslSemanticError("; ".join(d.message for d in errors), span)
+    return mark_valid(canonical(model))
+
+
 def serialize(model: RiskModel) -> str:
     """Render the model in canonical form: sorted declarations, shortest decimals."""
     model = canonical(model)
-    lines = [f'riskmodel "{model.name}" timeunit {model.base_period}']
-    for v in model.vertices:
-        line = v.kind.value + " " + v.id
-        if v.label:
-            line += f' "{v.label}"'
-        if v.kind is VertexKind.UNWANTED_INCIDENT and v.consequence is not None:
-            line += f" consequence {_fmt_value(v.consequence)}"
-        lines.append(line)
-    for v in sorted(model.vertices, key=lambda v: v.id):
+    lines = [("riskmodel", model)] + [(v.kind.value, v) for v in model.vertices]
+    for v in sorted(model.vertices, key=attrgetter("id")):
         if v.merge_policy is not MergePolicy.SEPARATE:
-            lines.append(f"merge {v.id} {v.merge_policy.value}")
-    for r in model.initiates:
-        line = f"initiate {r.source} -> {r.target} frequency {_fmt_freq(r.frequency)}"
-        if r.via:
-            line += f' via "{r.via}"'
-        lines.append(line)
-    for r in model.leadsto:
-        line = f"leadsto {r.source} -> {r.target} likelihood {_fmt_value(r.likelihood)}"
-        if r.via:
-            line += f' via "{r.via}"'
-        lines.append(line)
-    for r in model.impacts:
-        lines.append(f"impact {r.source} -> {r.target}")
-    for c in model.countermeasures:
-        line = f"countermeasure {c.id}"
-        if c.label:
-            line += f' "{c.label}"'
-        line += f" cost {_fmt_num(c.expenditure)}:{c.per}"
-        lines.append(line)
-    for t in model.treats:
-        lines.append(
-            f"treats {t.countermeasure} -> {t.target} effect "
-            f"{_fmt_value(t.freq_effect)}L {_fmt_value(t.cons_effect)}C"
-        )
-    for d in model.depends:
-        lines.append(
-            f"depends {d.countermeasure} -> ({d.treats_countermeasure} -> {d.treats_target}) "
-            f"effect {_fmt_value(d.freq_dep)}L {_fmt_value(d.cons_dep)}C"
-        )
+            lines.append(("merge", v))
+    for key in ("initiate", "leadsto", "impact", "countermeasure", "treats", "depends"):
+        lines += [(key, r) for r in getattr(model, _COLLECTION_OF[_STATEMENTS[key][0]])]
     for a in model.criteria:
         if a.max_frequency is not None:
-            lines.append(f"accept {a.risk} frequency <= {_fmt_freq(a.max_frequency)}")
+            lines.append(("accept frequency", a))
         if a.max_risk_cost is not None:
-            lines.append(
-                f"accept {a.risk} cost <= {_fmt_num(a.max_risk_cost)}:{a.max_risk_cost_per}"
-            )
-    return "\n".join(lines) + "\n"
+            lines.append(("accept cost", a))
+    return "".join(_STATEMENTS[key][1].write(r) + "\n" for key, r in lines)
 
 
 def _value_to_json(iv: Interval):
@@ -565,12 +486,10 @@ def _layout(record: type) -> tuple[type, list[tuple]]:
     """The record type and (field, key, outer key, inner key or None, encode,
     decode, optional) per field. A key is optional when its field defaults to
     None, a text or a policy, and an "a.b" object when its fields are."""
-    hints = get_type_hints(record)
+    types = _field_types(record)
     layout = []
     for f in fields(record):
-        kind = hints[f.name]
-        if get_origin(kind) is Union:  # Optional[kind]
-            kind = get_args(kind)[0]
+        kind = types[f.name]
         key = _JSON_KEYS.get(f.name, f.name)
         outer, _, inner = key.partition(".")
         optional = f.default is None or isinstance(f.default, (str, enum.Enum))
@@ -584,6 +503,7 @@ _COLLECTIONS = {
     for name, hint in get_type_hints(RiskModel).items()
     if get_origin(hint) is tuple
 }
+_COLLECTION_OF = {record: name for name, (record, _) in _COLLECTIONS.items()}
 
 
 def _record_to_json(record, layout: list[tuple]) -> dict:
@@ -643,6 +563,8 @@ def from_json(text: str, coras: bool = False) -> RiskModel:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise DslSyntaxError(f"invalid JSON: {e.msg}", SourceSpan(e.lineno, e.colno)) from None
+    except (RecursionError, ValueError) as e:  # nested too deeply; an integer too long
+        raise DslSyntaxError(f"invalid JSON: {e}") from None
     if not isinstance(doc, dict):
         raise DslSemanticError("top-level JSON value must be an object")
     if doc.get("schema") != JSON_SCHEMA_VERSION:

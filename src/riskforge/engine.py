@@ -16,7 +16,7 @@ goes through the same floating-point operations in the same order. Both walk
   a factor of exactly 1.0, which is exact in any position.
 
 Subsets are bit masks over a sorted tuple of countermeasure ids, bit i for
-the i-th id, so mask order is the binary-counter order of ``_all_subsets``.
+the i-th id, so masks count through the subsets in binary-counter order.
 ``chunks`` walks all 2^n masks at most ``CHUNK`` columns at a time, which
 bounds memory at any n up to the enumeration cap.
 """

@@ -161,6 +161,7 @@ class AcceptanceCriterion:
 class Diagnostic:
     severity: str  # "error" or "warning"
     message: str
+    subject: object = field(default=None, compare=False, repr=False)  # the record at fault
 
     @property
     def is_error(self) -> bool:
@@ -215,27 +216,27 @@ class RiskModel:
             (r.source, r.target) for r in self.leadsto
         ]
 
-    def intervals(self) -> Iterator[tuple[str, Interval]]:
-        """(description, value) of every interval annotation: frequencies per
-        base period, likelihoods, effects, dependencies and consequences."""
+    def intervals(self) -> Iterator[tuple[object, str, Interval]]:
+        """(record, description, value) of every interval annotation: frequencies
+        per base period, likelihoods, effects, dependencies and consequences."""
         base = self.base_period
         for r in self.initiates:
-            yield f"initiate {r.source}->{r.target} frequency", r.frequency.per_period(base)
+            yield r, f"initiate {r.source}->{r.target} frequency", r.frequency.per_period(base)
         for r in self.leadsto:
-            yield f"leadsto {r.source}->{r.target} likelihood", r.likelihood
+            yield r, f"leadsto {r.source}->{r.target} likelihood", r.likelihood
         for t in self.treats:
-            yield f"treats {t.countermeasure}->{t.target} frequency effect", t.freq_effect
-            yield f"treats {t.countermeasure}->{t.target} consequence effect", t.cons_effect
+            yield t, f"treats {t.countermeasure}->{t.target} frequency effect", t.freq_effect
+            yield t, f"treats {t.countermeasure}->{t.target} consequence effect", t.cons_effect
         for d in self.depends:
-            yield f"depends {d.countermeasure} frequency dependency", d.freq_dep
-            yield f"depends {d.countermeasure} consequence dependency", d.cons_dep
+            yield d, f"depends {d.countermeasure} frequency dependency", d.freq_dep
+            yield d, f"depends {d.countermeasure} consequence dependency", d.cons_dep
         for v in self.vertices:
             if v.consequence is not None:
-                yield f"consequence of {v.id!r}", v.consequence
+                yield v, f"consequence of {v.id!r}", v.consequence
 
     def is_point_valued(self) -> bool:
         """True when every interval annotation is a point (width-0) interval."""
-        return all(iv.is_point for _, iv in self.intervals())
+        return all(iv.is_point for _, _, iv in self.intervals())
 
 
 def _find_cycle(vertices: list[str], edges: list[tuple[str, str]]) -> Optional[list[str]]:
@@ -277,135 +278,139 @@ def validate(model: RiskModel, coras: bool = False) -> list[Diagnostic]:
     """
     diags: list[Diagnostic] = []
 
-    def err(msg: str):
-        diags.append(Diagnostic("error", msg))
+    def err(msg: str, subject: object):
+        diags.append(Diagnostic("error", msg, subject))
 
-    def warn(msg: str):
-        diags.append(Diagnostic("warning", msg))
+    def warn(msg: str, subject: object):
+        diags.append(Diagnostic("warning", msg, subject))
 
     seen: set[str] = set()
     for v in model.vertices:
         if v.id in seen:
-            err(f"duplicate vertex id {v.id!r}")
+            err(f"duplicate id {v.id!r}", v)
         seen.add(v.id)
         if v.kind is VertexKind.UNWANTED_INCIDENT:
             if v.consequence is None:
-                err(f"incident {v.id!r} has no consequence")
+                err(f"incident {v.id!r} has no consequence", v)
             elif v.consequence.lo < 0:
-                err(f"incident {v.id!r} has negative consequence")
+                err(f"incident {v.id!r} has negative consequence", v)
         elif v.consequence is not None:
-            err(f"{v.kind.value} {v.id!r} must not carry a consequence")
+            err(f"{v.kind.value} {v.id!r} must not carry a consequence", v)
     cm_seen: set[str] = set()
     for c in model.countermeasures:
         if c.id in seen or c.id in cm_seen:
-            err(f"duplicate id {c.id!r}")
+            err(f"duplicate id {c.id!r}", c)
         cm_seen.add(c.id)
     declared = (*model.vertices, *model.countermeasures)
     for x in declared:
         if not (x.id.isascii() and x.id.isidentifier()):  # [A-Za-z_][A-Za-z0-9_]*, as in the DSL
-            err(f"id {x.id!r} is not an identifier")
-    vias = [r.via for r in (*model.initiates, *model.leadsto)]
-    for text in [model.name, *(x.label for x in declared), *vias]:
+            err(f"id {x.id!r} is not an identifier", x)
+    texts = [(None, model.name), *((x, x.label) for x in declared)]
+    texts += [(r, r.via) for r in (*model.initiates, *model.leadsto)]
+    for subject, text in texts:
         # The DSL quotes a text on one line. No line break is printable, and
         # str.splitlines knows every one.
         if '"' in text or (not text.isprintable() and "".join(text.splitlines()) != text):
-            err(f"text {text!r} contains a double quote or a line break")
+            err(f"text {text!r} contains a double quote or a line break", subject)
 
     ids = {v.id for v in model.vertices}
     core_ids = {v.id for v in model.core_vertices}
 
     for r in model.initiates:
         if r.source not in ids or r.target not in ids:
-            err(f"initiate {r.source}->{r.target} references an undeclared vertex")
+            err(f"initiate {r.source}->{r.target} references an undeclared vertex", r)
             continue
         if model.vertex(r.source).kind is not VertexKind.THREAT:
-            err(f"initiate source {r.source!r} is not a threat")
+            err(f"initiate source {r.source!r} is not a threat", r)
         if r.target not in core_ids:
-            err(f"initiate target {r.target!r} is not a scenario or incident")
+            err(f"initiate target {r.target!r} is not a scenario or incident", r)
 
     for r in model.leadsto:
         if r.source not in ids or r.target not in ids:
-            err(f"leadsto {r.source}->{r.target} references an undeclared vertex")
+            err(f"leadsto {r.source}->{r.target} references an undeclared vertex", r)
             continue
         if r.source not in core_ids or r.target not in core_ids:
-            err(f"leadsto {r.source}->{r.target} must connect core vertices")
+            err(f"leadsto {r.source}->{r.target} must connect core vertices", r)
         if r.likelihood.lo < 0:
-            err(f"leadsto {r.source}->{r.target} likelihood must be >= 0")
+            err(f"leadsto {r.source}->{r.target} likelihood must be >= 0", r)
         elif r.likelihood.hi > 1:
             if coras:
-                err(f"leadsto {r.source}->{r.target} likelihood exceeds 1 (CORAS mode)")
+                err(f"leadsto {r.source}->{r.target} likelihood exceeds 1 (CORAS mode)", r)
             else:
-                warn(f"leadsto {r.source}->{r.target} likelihood exceeds 1")
+                warn(f"leadsto {r.source}->{r.target} likelihood exceeds 1", r)
 
     for r in model.impacts:
         if r.source not in ids or r.target not in ids:
-            err(f"impact {r.source}->{r.target} references an undeclared vertex")
+            err(f"impact {r.source}->{r.target} references an undeclared vertex", r)
             continue
         if model.vertex(r.source).kind is not VertexKind.UNWANTED_INCIDENT:
-            err(f"impact source {r.source!r} is not an incident")
+            err(f"impact source {r.source!r} is not an incident", r)
         if model.vertex(r.target).kind is not VertexKind.ASSET:
-            err(f"impact target {r.target!r} is not an asset")
+            err(f"impact target {r.target!r} is not an asset", r)
 
     unit_box = Interval(0.0, 1.0)
     treat_keys: set[tuple] = set()
     for t in model.treats:
         if t.countermeasure not in cm_seen:
-            err(f"treats references undeclared countermeasure {t.countermeasure!r}")
+            err(f"treats references undeclared countermeasure {t.countermeasure!r}", t)
         if t.target not in ids:
-            err(f"treats references undeclared vertex {t.target!r}")
+            err(f"treats references undeclared vertex {t.target!r}", t)
         elif t.target not in core_ids:
             # The calculus only defines treatment of scenarios and incidents.
-            err(f"treats target {t.target!r} is not a scenario or incident")
+            err(f"treats target {t.target!r} is not a scenario or incident", t)
         for iv, what in ((t.freq_effect, "frequency"), (t.cons_effect, "consequence")):
             if not unit_box.contains(iv):
-                err(f"treats {t.countermeasure}->{t.target} {what} effect outside [0,1]")
+                err(f"treats {t.countermeasure}->{t.target} {what} effect outside [0,1]", t)
         if t.key in treat_keys:
-            err(f"duplicate treats relation {t.countermeasure}->{t.target}")
+            err(f"duplicate treats relation {t.countermeasure}->{t.target}", t)
         treat_keys.add(t.key)
 
     for d in model.depends:
         if d.countermeasure not in cm_seen:
-            err(f"depends references undeclared countermeasure {d.countermeasure!r}")
+            err(f"depends references undeclared countermeasure {d.countermeasure!r}", d)
         if d.treats_key not in treat_keys:
             err(
                 f"depends references missing treats relation "
-                f"{d.treats_countermeasure}->{d.treats_target}"
+                f"{d.treats_countermeasure}->{d.treats_target}",
+                d,
             )
         if d.countermeasure == d.treats_countermeasure:
-            err(f"countermeasure {d.countermeasure!r} cannot depend on its own effect")
+            err(f"countermeasure {d.countermeasure!r} cannot depend on its own effect", d)
         for iv, what in ((d.freq_dep, "frequency"), (d.cons_dep, "consequence")):
             if not unit_box.contains(iv):
-                err(f"depends {d.countermeasure} {what} dependency outside [0,1]")
+                err(f"depends {d.countermeasure} {what} dependency outside [0,1]", d)
 
     # Numbers are checked as the calculus uses them, rescaled to the base period.
     numbers = list(model.intervals()) + [
-        (f"expenditure of {c.id!r}", Interval.point(c.expenditure_per(model.base_period)))
+        (c, f"expenditure of {c.id!r}", Interval.point(c.expenditure_per(model.base_period)))
         for c in model.countermeasures
     ]
     risks: set[str] = set()
     for a in model.criteria:
         if a.risk in risks:
-            err(f"duplicate acceptance criterion for {a.risk!r}")
+            err(f"duplicate acceptance criterion for {a.risk!r}", a)
         risks.add(a.risk)
         if a.risk not in ids:
-            err(f"acceptance criterion references undeclared vertex {a.risk!r}")
+            err(f"acceptance criterion references undeclared vertex {a.risk!r}", a)
         elif model.vertex(a.risk).kind is not VertexKind.UNWANTED_INCIDENT:
-            err(f"acceptance criterion target {a.risk!r} is not an incident")
+            err(f"acceptance criterion target {a.risk!r} is not an incident", a)
         if a.max_frequency is None and a.max_risk_cost is None:
-            err(f"acceptance criterion for {a.risk!r} has no bound")
+            err(f"acceptance criterion for {a.risk!r} has no bound", a)
         if a.max_risk_cost is not None and a.max_risk_cost_per is None:
-            err(f"cost bound for {a.risk!r} has no period")
+            err(f"cost bound for {a.risk!r} has no period", a)
             continue
         for what, bound in zip(("frequency", "cost"), a.bounds(model.base_period)):
             if bound is not None:
-                numbers.append((f"{what} bound for {a.risk!r}", Interval.point(bound)))
-    for what, iv in numbers:
+                numbers.append((a, f"{what} bound for {a.risk!r}", Interval.point(bound)))
+    for subject, what, iv in numbers:
         if not (math.isfinite(iv.lo) and math.isfinite(iv.hi)):
-            err(f"{what} is not a finite number")
+            err(f"{what} is not a finite number", subject)
 
     cycle = _find_cycle(sorted(ids), model.edges())
     if cycle is not None:
-        err("cycle: " + ",".join(cycle))
+        relations = (*model.initiates, *model.leadsto)
+        closing = next(r for r in relations if (r.source, r.target) == (cycle[-1], cycle[0]))
+        err("cycle: " + ",".join(cycle), closing)
     else:
         # Reachability only makes sense on a DAG with resolved endpoints.
         if not any(d.is_error for d in diags):
@@ -419,14 +424,15 @@ def validate(model: RiskModel, coras: bool = False) -> list[Diagnostic]:
                         changed = True
             for v in model.incidents:
                 if v.id not in reachable:
-                    err(f"incident {v.id!r} is unreachable from every threat")
+                    err(f"incident {v.id!r} is unreachable from every threat", v)
 
     overlapping = [v for v in model.core_vertices if v.merge_policy is MergePolicy.OVERLAPPING]
     if overlapping and model.is_point_valued():
         for v in overlapping:
             warn(
                 f"vertex {v.id!r} merges overlapping contributions but the model is "
-                f"point-valued; combined results will still be intervals"
+                f"point-valued; combined results will still be intervals",
+                v,
             )
 
     return diags

@@ -118,18 +118,6 @@ def _verdicts(
     return verdicts
 
 
-def _all_subsets(model: RiskModel, cap: int) -> list[Alternative]:
-    cms = sorted(c.id for c in model.countermeasures)
-    if len(cms) > cap:
-        raise SynergyError(
-            f"{len(cms)} countermeasures exceed the enumeration cap of {cap}"
-        )
-    return [
-        frozenset(cms[i] for i in range(len(cms)) if mask >> i & 1)
-        for mask in range(2 ** len(cms))
-    ]
-
-
 def find_alternatives(
     model: RiskModel, cap: int = DEFAULT_SUBSET_CAP, pessimistic: bool = False
 ) -> list[GlobalAlternative]:

@@ -21,6 +21,7 @@ from riskforge import (
     validate,
 )
 from riskforge.dsl import canonical
+from riskforge.synergy import SynergyError
 
 PERIODS = [Period(1, "y"), Period(10, "y"), Period(1, "m")]
 
@@ -248,3 +249,17 @@ def sample_point_model(model: RiskModel, rng: np.random.Generator) -> RiskModel:
 
 def random_alternative(model: RiskModel, rng: np.random.Generator) -> frozenset:
     return frozenset(c.id for c in model.countermeasures if rng.random() < 0.5)
+
+
+def _all_subsets(model: RiskModel, cap: int) -> list[frozenset]:
+    """Every countermeasure subset, in the engine's mask order: bit i of the
+    mask selects the i-th countermeasure id in sorted order."""
+    cms = sorted(c.id for c in model.countermeasures)
+    if len(cms) > cap:
+        raise SynergyError(
+            f"{len(cms)} countermeasures exceed the enumeration cap of {cap}"
+        )
+    return [
+        frozenset(cms[i] for i in range(len(cms)) if mask >> i & 1)
+        for mask in range(2 ** len(cms))
+    ]

@@ -1,13 +1,18 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import riskforge
-from riskforge import to_json
+from riskforge import oracle, to_json
 from riskforge.cli import run
 
 RULE_FILE = """\
@@ -274,3 +279,52 @@ print(json.dumps(results))
         ], proc.stderr
         outputs.add(proc.stdout)
     assert len(outputs) == 1
+
+
+# Every command; FILE stands for the model file.
+EVERY_COMMAND = [
+    ["validate", "FILE"],
+    ["propagate", "FILE", "--with", "IRN,EQS", "--format", "json"],
+    ["analyze", "FILE", "--risk", "LMD"],
+    ["synergy", "FILE", "--format", "json"],
+    *(["simulate", "FILE", "--rule", r, "--runs", "2", "--horizon", "20"] for r in oracle.RULES),
+    ["export", "FILE", "--to", "json"],
+    ["export", "FILE", "--to", "dsl"],
+    ["--coras", "validate", "FILE"],
+    ["--coras", "synergy", "FILE"],
+]
+FIXTURE_LINES = [path.read_text().splitlines() for path in sorted(FIXTURES.glob("*.riskdsl"))]
+
+
+@st.composite
+def mutated_fixture(draw) -> bytes:
+    """A fixture with text inserted into, or cut out of, one of its lines."""
+    lines = list(draw(st.sampled_from(FIXTURE_LINES)))
+    i = draw(st.integers(0, len(lines) - 1))
+    j = draw(st.integers(0, len(lines[i])))
+    k = draw(st.integers(j, len(lines[i])))
+    insert = draw(st.text(max_size=6))
+    lines[i] = lines[i][:j] + insert + lines[i][k if draw(st.booleans()) else j:]
+    return "\n".join(lines).encode()
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    data=st.binary(max_size=200) | mutated_fixture(),
+    suffix=st.sampled_from([".riskdsl", ".json"]),
+)
+@example(data=b'{"schema": 1, "name": ' + b"[" * 100000, suffix=".json")
+@example(data='riskmodel "caf\xe9" timeunit 1y\n'.encode("latin-1"), suffix=".riskdsl")
+def test_any_input_ends_in_an_exit_code_and_at_most_one_error_line(data, suffix):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"model{suffix}"
+        path.write_bytes(data)
+        for command in EVERY_COMMAND:
+            argv = [str(path) if arg == "FILE" else arg for arg in command]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run(argv)
+            assert code in (0, 1, 2, 3), argv
+            errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+            assert len(errors) <= 1, (argv, errors)
+            assert "Traceback" not in err.getvalue()

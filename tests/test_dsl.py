@@ -350,3 +350,81 @@ def test_json_model_must_be_one_the_dsl_can_write(path, value, message):
     doc = _with(FULL_DOC, path, value)
     with pytest.raises(DslSemanticError, match=message):
         from_json(json.dumps(doc))
+
+
+THREAT_TO_R = "threat T\nincident R consequence 1\ninitiate T -> R frequency 1:1y\n"
+
+
+@pytest.mark.parametrize(
+    "text,coras,line,message",
+    [
+        (
+            'riskmodel "m" timeunit 1y\nthreat T\nincident A consequence 1\n'
+            "initiate T -> A frequency 1e308:1d\n",
+            False,
+            4,
+            "initiate T->A frequency is not a finite number",
+        ),
+        (
+            HEADER + "threat T\nscenario S\nincident R consequence 1\n"
+            "initiate T -> S frequency 1:1y\nleadsto S -> X likelihood 0.5\n"
+            "leadsto S -> R likelihood 0.5\n",
+            False,
+            6,
+            "leadsto S->X references an undeclared vertex",
+        ),
+        (
+            HEADER + THREAT_TO_R + "countermeasure C cost 1:1y\ntreats C -> R effect 1.5L 0C\n",
+            False,
+            6,
+            "treats C->R frequency effect outside [0,1]",
+        ),
+        (HEADER + "merge X exclusive\n" + THREAT_TO_R, False, 2, "undeclared vertex 'X'"),
+        (HEADER + THREAT_TO_R + "scenario T\n", False, 5, "duplicate id 'T'"),
+        (
+            HEADER + "threat T\nscenario A\nscenario B\nincident R consequence 1\n"
+            "initiate T -> A frequency 1:1y\nleadsto A -> B likelihood 0.5\n"
+            "leadsto B -> A likelihood 0.5\nleadsto B -> R likelihood 0.5\n",
+            False,
+            8,
+            "cycle: A,B",
+        ),
+        (
+            HEADER + "threat T\nscenario A\nincident R consequence 1\n"
+            "initiate T -> A frequency 1:1y\nleadsto A -> R likelihood 1.5\n",
+            True,
+            6,
+            "leadsto A->R likelihood exceeds 1 (CORAS mode)",
+        ),
+    ],
+    ids=[
+        "overflow-per-base-period",
+        "undeclared-target",
+        "effect-range",
+        "undeclared-merge",
+        "duplicate-id",
+        "cycle",
+        "coras-likelihood",
+    ],
+)
+def test_semantic_error_points_at_its_statement(text, coras, line, message):
+    with pytest.raises(DslSemanticError) as exc:
+        parse(text, coras=coras)
+    assert message in str(exc.value)
+    assert exc.value.span.line == line
+
+
+@pytest.mark.parametrize(
+    "statement",
+    [
+        "accept R frequency <= 1:1y cost <= 5:1y",
+        'threat T2 "x" consequence 5',
+        "incident R2",
+        'countermeasure C "x"',
+        'impact R -> T via "x"',
+    ],
+)
+def test_grammar_accepts_no_new_forms(statement):
+    with pytest.raises(DslSyntaxError) as exc:
+        parse(HEADER + THREAT_TO_R + statement + "\n")
+    assert exc.value.span.line == 5

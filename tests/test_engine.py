@@ -28,9 +28,8 @@ from riskforge import (
 )
 from riskforge import engine
 from riskforge.analysis import applicable_countermeasures
-from riskforge.synergy import _all_subsets
 
-from genmodels import random_model
+from genmodels import _all_subsets, random_model
 
 
 @pytest.fixture(autouse=True)

@@ -21,9 +21,9 @@ from riskforge import (
     recommend,
     risk_cost,
 )
-from riskforge.synergy import SynergyError, _all_subsets
+from riskforge.synergy import SynergyError
 
-from genmodels import random_model
+from genmodels import _all_subsets, random_model
 
 pt = Interval.point
 
