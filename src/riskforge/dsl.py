@@ -143,12 +143,15 @@ class _LineParser:
 
     def period(self, what: str) -> Period:
         magnitude = self.take("number", "period magnitude")
-        if not magnitude.text.isdigit() or int(magnitude.text) == 0:
+        if not magnitude.text.isdigit() or not any(map(int, magnitude.text)):  # no nonzero digit
             raise DslSyntaxError("period magnitude must be a positive integer", magnitude.span)
         unit = self.take("ident", "period unit d, m or y")
         if unit.text not in ("d", "m", "y"):
             raise DslSyntaxError("period unit must be d, m or y", unit.span)
-        return Period(int(magnitude.text), unit.text)
+        try:
+            return Period(int(magnitude.text), unit.text)
+        except ValueError:  # more digits than int() reads, or more days than a float holds
+            raise DslSyntaxError("period magnitude is too large", magnitude.span) from None
 
     def frequency(self, what: str) -> Frequency:
         occurrences = self.value(what)

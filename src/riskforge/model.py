@@ -41,6 +41,12 @@ class Period:
             raise ValueError("period magnitude must be positive")
         if self.unit not in _UNIT_DAYS:
             raise ValueError(f"unknown period unit {self.unit!r}")
+        try:
+            finite = math.isfinite(self.days)
+        except OverflowError:  # a magnitude beyond the float range
+            finite = False
+        if not finite:
+            raise ValueError("period too long: its length in days is not a finite float")
 
     @property
     def days(self) -> float:

@@ -4,7 +4,8 @@ model and check each propagation rule against its empirical frequency."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from itertools import compress
 from typing import Callable
 
 import numpy as np
@@ -140,6 +141,57 @@ def _check_point_model(model: RiskModel):
             )
 
 
+def _sample(model: RiskModel, alternative: Alternative, horizon: float, seeds):
+    """Per seed, the sampled events of every core vertex and those that survive.
+
+    Checks and compiles the model once (the plan, expected initiate counts,
+    likelihoods and the effective effects of the selected treats relations),
+    then yields ``(samples, surviving)`` per seed: ``samples`` lists ``(vertex,
+    treats, times, tags)`` in plan order, one boolean row of ``tags`` per
+    selected treats relation; ``surviving`` maps vertex ids to untagged times.
+    """
+    _check_point_model(model)
+    if horizon <= 0:
+        raise OracleError("horizon must be positive")
+    compiled = [
+        (
+            v,
+            treats,
+            [r.frequency.per_period(model.base_period).lo * horizon for r in initiates],
+            [(r.source, r.likelihood.lo) for r in leadsto],
+            [
+                effective_effect(t, alternative, model.depends)[0].lo
+                for t in treats
+                if t.countermeasure in alternative
+            ],
+        )
+        for v, initiates, leadsto, treats in evaluation_plan(model)
+    ]
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        samples = []
+        surviving: dict[str, np.ndarray] = {}
+        for v, treats, expected, sources, effects in compiled:
+            incoming = [np.sort(rng.uniform(0.0, horizon, size=rng.poisson(n))) for n in expected]
+            for source, likelihood in sources:
+                src = surviving[source]
+                incoming.append(np.repeat(src, rng.poisson(likelihood, size=len(src))))
+            if not incoming:
+                times = np.empty(0)
+            elif v.merge_policy is MergePolicy.EXCLUSIVE:
+                # Mutually exclusive contributions denote the same event class
+                # reached along different paths: realize the identical-set case.
+                times = incoming[0]
+            else:
+                times = np.sort(np.concatenate(incoming))
+            # rng.random fills row by row: the draws of one call per selected
+            # treats relation, in plan order.
+            tags = rng.random((len(effects), len(times))) < np.reshape(effects, (-1, 1))
+            surviving[v.id] = times[~tags.any(axis=0)]
+            samples.append((v, treats, times, tags))
+        yield samples, surviving
+
+
 def generate_history(
     model: RiskModel, alternative: Alternative, horizon: float, seed: int
 ) -> History:
@@ -153,69 +205,16 @@ def generate_history(
     effective frequency effect, so filtering out tagged events reproduces the
     calculus residual. Deterministic for a fixed (seed, parameters) pair.
     """
-    _check_point_model(model)
-    if horizon <= 0:
-        raise OracleError("horizon must be positive")
-    rng = np.random.default_rng(seed)
-
-    all_times: list[np.ndarray] = []
-    all_classes: list[np.ndarray] = []
-    all_tags: list[list[frozenset]] = []
-    surviving: dict[str, np.ndarray] = {}
-    impact_maps: dict[str, ImpactMap] = {}
-
-    for v, initiates, leadsto, treats in evaluation_plan(model):
+    ((samples, _),) = _sample(model, alternative, horizon, [seed])
+    events = []
+    for v, treats, times, tags in samples:
         base = v.consequence.lo if v.consequence is not None else 0.0
-        impact_maps[v.id] = ImpactMap(base, {t.countermeasure: t.cons_effect.lo for t in treats})
-        incoming: list[np.ndarray] = []
-        for r in initiates:
-            rate = r.frequency.per_period(model.base_period).lo
-            n = rng.poisson(rate * horizon)
-            incoming.append(np.sort(rng.uniform(0.0, horizon, size=n)))
-        for r in leadsto:
-            src = surviving[r.source]
-            counts = rng.poisson(r.likelihood.lo, size=len(src))
-            incoming.append(np.repeat(src, counts))
-        if not incoming:
-            times = np.empty(0)
-        elif v.merge_policy is MergePolicy.EXCLUSIVE:
-            # Mutually exclusive contributions denote the same event class
-            # reached along different paths: realize the identical-set case.
-            times = incoming[0]
-        else:
-            times = np.sort(np.concatenate(incoming))
-
-        treats_here = [t for t in treats if t.countermeasure in alternative]
-        tagged = np.zeros(len(times), dtype=bool)
-        tags: list[frozenset] = [frozenset()] * len(times)
-        if treats_here:
-            tag_matrix = np.zeros((len(treats_here), len(times)), dtype=bool)
-            for i, t in enumerate(treats_here):
-                e_f, _ = effective_effect(t, alternative, model.depends)
-                tag_matrix[i] = rng.random(len(times)) < e_f.lo
-            tagged = tag_matrix.any(axis=0)
-            cms = [t.countermeasure for t in treats_here]
-            cache: dict[tuple, frozenset] = {}
-            for j in range(len(times)):
-                key = tuple(tag_matrix[:, j])
-                if key not in cache:
-                    cache[key] = frozenset(c for c, on in zip(cms, key) if on)
-                tags[j] = cache[key]
-
-        surviving[v.id] = times[~tagged]
-        all_times.append(times)
-        all_classes.append(np.full(len(times), v.id, dtype=object))
-        all_tags.append(tags)
-
-    times = np.concatenate(all_times) if all_times else np.empty(0)
-    classes = np.concatenate(all_classes) if all_classes else np.empty(0, dtype=object)
-    tags_flat = [t for ts in all_tags for t in ts]
-    order = np.argsort(times, kind="stable")
-    events = tuple(
-        TimedEvent(classes[i], float(times[i]), tags_flat[i], impact_maps[classes[i]])
-        for i in order
-    )
-    return History(events, horizon)
+        impact = ImpactMap(base, {t.countermeasure: t.cons_effect.lo for t in treats})
+        cms = [t.countermeasure for t in treats if t.countermeasure in alternative]
+        for time, column in zip(times, tags.T):
+            events.append(TimedEvent(v.id, float(time), frozenset(compress(cms, column)), impact))
+    events.sort(key=lambda e: e.time)
+    return History(tuple(events), horizon)
 
 
 @dataclass(frozen=True)
@@ -230,17 +229,9 @@ class Verdict:
     passed: bool
 
     def to_json(self) -> dict:
-        return {
-            "rule": self.rule,
-            "runs": self.runs,
-            "horizon": self.horizon,
-            "calculus_value": self.calculus_value,
-            "empirical_mean": self.empirical_mean,
-            "std_error": self.std_error,
-            "z": self.z,
-            "pass": self.passed,
-            "rng": RNG_ALGORITHM,
-        }
+        doc = asdict(self)
+        doc["pass"] = doc.pop("passed")
+        return doc | {"rng": RNG_ALGORITHM}
 
 
 def conclusion_vertex(model: RiskModel) -> str:
@@ -276,25 +267,15 @@ def random_rule_instance(rule: str, rng: np.random.Generator) -> RiskModel:
             initiates=(InitiateRel("T", "A", freq(f)),),
             leadsto=(LeadsToRel("A", "B", point(r)),),
         )
-    if rule == "separate":
-        f2, r2 = rng.uniform(0.5, 3.0), rng.uniform(0.2, 1.2)
+    if rule in ("separate", "exclusive"):
+        # Two paths into C; both must contribute the same frequency to an exclusive C.
+        if rule == "separate":
+            f2, r2 = rng.uniform(0.5, 3.0), rng.uniform(0.2, 1.2)
+        else:
+            f2, r2 = f, r
+        merge = MergePolicy.EXCLUSIVE if rule == "exclusive" else MergePolicy.SEPARATE
         return RiskModel(
-            name="separate",
-            base_period=period,
-            vertices=(
-                Vertex("T1", VertexKind.THREAT),
-                Vertex("T2", VertexKind.THREAT),
-                Vertex("A", VertexKind.THREAT_SCENARIO),
-                Vertex("B", VertexKind.THREAT_SCENARIO),
-                Vertex("C", VertexKind.UNWANTED_INCIDENT, consequence=point(1.0)),
-            ),
-            initiates=(InitiateRel("T1", "A", freq(f)), InitiateRel("T2", "B", freq(f2))),
-            leadsto=(LeadsToRel("A", "C", point(r)), LeadsToRel("B", "C", point(r2))),
-        )
-    if rule == "exclusive":
-        # Both paths must contribute the same frequency to the exclusive vertex.
-        return RiskModel(
-            name="exclusive",
+            name=rule,
             base_period=period,
             vertices=(
                 Vertex("T1", VertexKind.THREAT),
@@ -302,14 +283,11 @@ def random_rule_instance(rule: str, rng: np.random.Generator) -> RiskModel:
                 Vertex("A", VertexKind.THREAT_SCENARIO),
                 Vertex("B", VertexKind.THREAT_SCENARIO),
                 Vertex(
-                    "C",
-                    VertexKind.UNWANTED_INCIDENT,
-                    consequence=point(1.0),
-                    merge_policy=MergePolicy.EXCLUSIVE,
+                    "C", VertexKind.UNWANTED_INCIDENT, consequence=point(1.0), merge_policy=merge
                 ),
             ),
-            initiates=(InitiateRel("T1", "A", freq(f)), InitiateRel("T2", "B", freq(f))),
-            leadsto=(LeadsToRel("A", "C", point(r)), LeadsToRel("B", "C", point(r))),
+            initiates=(InitiateRel("T1", "A", freq(f)), InitiateRel("T2", "B", freq(f2))),
+            leadsto=(LeadsToRel("A", "C", point(r)), LeadsToRel("B", "C", point(r2))),
         )
     e = rng.uniform(0.1, 0.9)
     if rule == "cm_effect":
@@ -362,15 +340,11 @@ def check_rule(
     vertex = conclusion_vertex(instance)
     calc = propagate(instance, alternative)[vertex].frequency.lo
 
-    seeds = np.random.SeedSequence(seed).generate_state(runs)
-    estimates = np.array(
-        [
-            empirical_frequency(
-                generate_history(instance, alternative, horizon, int(s)), vertex, alternative
-            )
-            for s in seeds
-        ]
-    )
+    # Every tag comes from a selected countermeasure, so the survivors are the
+    # untreated events that empirical_frequency counts.
+    seeds = map(int, np.random.SeedSequence(seed).generate_state(runs))
+    samples = _sample(instance, alternative, horizon, seeds)
+    estimates = np.array([len(surviving[vertex]) / horizon for _, surviving in samples])
     mean = float(estimates.mean())
     se = float(estimates.std(ddof=1) / math.sqrt(runs)) if runs > 1 else 0.0
     if se == 0.0:

@@ -5,7 +5,8 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -23,11 +24,11 @@ class SynergyError(Exception):
 @dataclass(frozen=True)
 class GlobalAlternative:
     countermeasures: Alternative
-    per_risk_states: dict  # risk id -> RiskState
+    per_risk_states: Mapping[str, RiskState]  # read-only, by risk id
     overall_cost: float  # per base period
 
     def __post_init__(self):
-        object.__setattr__(self, "per_risk_states", dict(self.per_risk_states))
+        object.__setattr__(self, "per_risk_states", MappingProxyType(dict(self.per_risk_states)))
 
 
 @dataclass(frozen=True)

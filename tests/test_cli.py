@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import riskforge
-from riskforge import oracle, to_json
+from riskforge import oracle, parse, to_json
 from riskforge.cli import run
 
 RULE_FILE = """\
@@ -294,6 +294,7 @@ EVERY_COMMAND = [
     ["--coras", "synergy", "FILE"],
 ]
 FIXTURE_LINES = [path.read_text().splitlines() for path in sorted(FIXTURES.glob("*.riskdsl"))]
+EHEALTH = (FIXTURES / "ehealth.riskdsl").read_text()
 
 
 @st.composite
@@ -315,6 +316,13 @@ def mutated_fixture(draw) -> bytes:
 )
 @example(data=b'{"schema": 1, "name": ' + b"[" * 100000, suffix=".json")
 @example(data='riskmodel "caf\xe9" timeunit 1y\n'.encode("latin-1"), suffix=".riskdsl")
+# Period magnitudes beyond the float range, and beyond what int() reads.
+@example(data=EHEALTH.replace("30:10y", f"30:{'9' * 320}y").encode(), suffix=".riskdsl")
+@example(data=EHEALTH.replace("30:10y", f"30:{'9' * 4400}y").encode(), suffix=".riskdsl")
+@example(
+    data=to_json(parse(EHEALTH)).replace('"per": "10y"', f'"per": "{"9" * 320}y"', 1).encode(),
+    suffix=".json",
+)
 def test_any_input_ends_in_an_exit_code_and_at_most_one_error_line(data, suffix):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / f"model{suffix}"

@@ -40,6 +40,13 @@ def test_period_rates():
     assert f.per_period(Period(12, "m")) == Interval.point(3.0)
 
 
+@pytest.mark.parametrize("magnitude", [10**400, 10**306])  # beyond the float range; inf days
+def test_period_length_in_days_must_be_a_finite_float(magnitude):
+    with pytest.raises(ValueError, match="finite float"):
+        Period(magnitude, "y")
+    assert Period(10**306, "d").days == 1e306
+
+
 def test_ehealth_fixture_validates_clean(ehealth):
     assert [d for d in validate(ehealth) if d.is_error] == []
 

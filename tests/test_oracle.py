@@ -262,3 +262,40 @@ def test_impact_map_is_antitone_over_every_subset():
             expected *= 1.0 - effects[c]
         assert imp(cs) == expected
         assert all(imp(cs | {c}) <= imp(cs) for c in effects)
+
+
+def test_check_rule_builds_no_events(monkeypatch):
+    from riskforge import oracle
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("check_rule built a history")
+
+    monkeypatch.setattr(oracle, "TimedEvent", forbidden)
+    monkeypatch.setattr(oracle, "History", forbidden)
+    rng = np.random.default_rng(8)
+    for rule in RULES:
+        assert check_rule(rule, random_rule_instance(rule, rng), runs=3, horizon=50.0).runs == 3
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_sampler_survivors_are_the_history_frequency(rule):
+    # check_rule and generate_history share one sampler; the survivors it
+    # counts must be what empirical_frequency reads off the public history.
+    from riskforge.oracle import _sample
+
+    rng = np.random.default_rng(RULES.index(rule))
+    instance = random_rule_instance(rule, rng)
+    vertex = conclusion_vertex(instance)
+    cms = sorted(c.id for c in instance.countermeasures)
+    runs, horizon = 4, 60.0
+    for seed in range(5):
+        seeds = [int(s) for s in np.random.SeedSequence(seed).generate_state(runs)]
+        for alternative in (frozenset(), frozenset(cms), frozenset(cms[:1])):
+            histories = [generate_history(instance, alternative, horizon, s) for s in seeds]
+            from_history = [empirical_frequency(h, vertex, alternative) for h in histories]
+            samples = _sample(instance, alternative, horizon, seeds)
+            sampled = [len(surviving[vertex]) / horizon for _, surviving in samples]
+            assert sampled == from_history
+            if alternative == frozenset(cms):
+                verdict = check_rule(rule, instance, runs=runs, horizon=horizon, seed=seed)
+                assert verdict.empirical_mean == float(np.mean(from_history))

@@ -77,6 +77,14 @@ def test_find_alternatives_ranking(ehealth_rounded):
     assert ranked[0].per_risk_states["LMD"].frequency.lo == pytest.approx(7.92)
 
 
+def test_global_alternative_states_are_read_only(ehealth_rounded):
+    best = find_alternatives(ehealth_rounded)[0]
+    with pytest.raises(TypeError):
+        best.per_risk_states["LMD"] = None
+    with pytest.raises(TypeError):
+        del best.per_risk_states["LMD"]
+
+
 def test_find_alternatives_without_criteria(ehealth):
     bare = replace(ehealth, criteria=())
     ranked = find_alternatives(bare)
