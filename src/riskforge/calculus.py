@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -15,6 +14,7 @@ from .model import (
     Vertex,
     is_known_valid,
     mark_valid,
+    topological_order,
     validate,
 )
 
@@ -118,35 +118,24 @@ def evaluation_plan(model: RiskModel) -> list[tuple[Vertex, list, list, list]]:
     """The order in which the calculus evaluates a valid model.
 
     One ``(vertex, initiates, leadsto, treats)`` entry per core vertex, in
-    topological order with ties broken by id (Kahn's algorithm): its incoming
-    initiate and leads-to relations, each sorted by source, and the treats
-    relations on it, sorted by countermeasure id. Every evaluator walks this
-    plan, so this is the one place the evaluation order is decided.
+    the smallest topological order (``model.topological_order``, the walk on
+    which ``validate`` checks acyclicity): its incoming initiate and leads-to
+    relations, each sorted by source, and the treats relations on it, sorted
+    by countermeasure id. Every evaluator walks this plan, so this is the one
+    place the evaluation order is decided.
     """
     core = {v.id: v for v in model.core_vertices}
     initiates: dict[str, list] = {vid: [] for vid in core}
     leadsto: dict[str, list] = {vid: [] for vid in core}
     treats: dict[str, list] = {vid: [] for vid in core}
-    out: dict[str, list[str]] = {vid: [] for vid in core}
     for r in sorted(model.initiates, key=lambda r: r.source):
         initiates[r.target].append(r)
     for r in sorted(model.leadsto, key=lambda r: r.source):
         leadsto[r.target].append(r)
-        out[r.source].append(r.target)
     for t in sorted(model.treats, key=lambda t: t.countermeasure):
         treats[t.target].append(t)
-    indeg = {vid: len(rs) for vid, rs in leadsto.items()}
-    ready = [vid for vid, n in indeg.items() if n == 0]
-    heapq.heapify(ready)
-    plan = []
-    while ready:
-        vid = heapq.heappop(ready)
-        plan.append((core[vid], initiates[vid], leadsto[vid], treats[vid]))
-        for w in out[vid]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                heapq.heappush(ready, w)
-    return plan
+    order, _ = topological_order(core, ((r.source, r.target) for r in model.leadsto))
+    return [(core[vid], initiates[vid], leadsto[vid], treats[vid]) for vid in order]
 
 
 def propagate(model: RiskModel, alternative: Alternative) -> dict[str, VertexResult]:

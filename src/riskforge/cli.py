@@ -18,11 +18,11 @@ EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
 
 
-def _load(path: str, coras: bool) -> RiskModel:
-    text = Path(path).read_text(encoding="utf-8")
-    if path.endswith(".json") or text.lstrip().startswith("{"):
-        return dsl.from_json(text, coras=coras)
-    return dsl.parse(text, coras=coras)
+def _load(args) -> RiskModel:
+    text = Path(args.file).read_text(encoding="utf-8")
+    if args.file.endswith(".json") or text.lstrip().startswith("{"):
+        return dsl.from_json(text, coras=args.coras)
+    return dsl.parse(text, coras=args.coras)
 
 
 @functools.cache  # parse_args keeps no state between calls
@@ -37,26 +37,31 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="check a model file")
+    p.set_defaults(handler=_cmd_validate)
     p.add_argument("file")
 
     p = sub.add_parser("propagate", help="residual frequencies under an alternative")
+    p.set_defaults(handler=_cmd_propagate)
     p.add_argument("file")
     p.add_argument("--with", dest="with_cms", default="", metavar="CM1,CM2,...")
     p.add_argument("--format", choices=("json", "table"), default="table")
 
     p = sub.add_parser("analyze", help="per-risk states and decision diagram")
+    p.set_defaults(handler=_cmd_analyze)
     p.add_argument("file")
     p.add_argument("--risk", required=True)
     p.add_argument("--format", choices=("csv", "dot", "json"), default="csv")
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("synergy", help="rank global alternatives and recommend")
+    p.set_defaults(handler=_cmd_synergy)
     p.add_argument("file")
     p.add_argument("--budget", type=float, default=None)
     p.add_argument("--pessimistic", action="store_true")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("simulate", help="validate a calculus rule by simulation")
+    p.set_defaults(handler=_cmd_simulate)
     p.add_argument("file")
     p.add_argument("--rule", required=True, choices=oracle.RULES)
     p.add_argument("--runs", type=int, default=100)
@@ -64,21 +69,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("export", help="re-emit the model as JSON or canonical DSL")
+    p.set_defaults(handler=_cmd_export)
     p.add_argument("file")
     p.add_argument("--to", required=True, choices=("json", "dsl"))
     return parser
 
 
-def _cmd_validate(model_file: str, coras: bool) -> int:
-    model = _load(model_file, coras)
-    diags = validate(model, coras=coras)
+def _cmd_validate(args) -> int:
+    model = _load(args)
+    diags = validate(model, coras=args.coras)
     for d in diags:
         print(d, file=sys.stderr)
     return EXIT_MODEL_ERROR if any(d.is_error for d in diags) else EXIT_OK
 
 
-def _cmd_propagate(args, coras: bool) -> int:
-    model = _load(args.file, coras)
+def _cmd_propagate(args) -> int:
+    model = _load(args)
     alternative = frozenset(c for c in args.with_cms.split(",") if c)
     results = propagate(model, alternative)
     if args.format == "json":
@@ -100,8 +106,8 @@ def _cmd_propagate(args, coras: bool) -> int:
     return EXIT_OK
 
 
-def _cmd_analyze(args, coras: bool) -> int:
-    model = _load(args.file, coras)
+def _cmd_analyze(args) -> int:
+    model = _load(args)
     states = analysis.enumerate_states(model, args.risk)
     if args.format == "csv":
         out = analysis.export_csv(states)
@@ -130,8 +136,8 @@ def _cmd_analyze(args, coras: bool) -> int:
     return EXIT_OK
 
 
-def _cmd_synergy(args, coras: bool) -> int:
-    model = _load(args.file, coras)
+def _cmd_synergy(args) -> int:
+    model = _load(args)
     rec = synergy.recommend(model, budget=args.budget, pessimistic=args.pessimistic)
     ranked = rec.ranking
     if args.format == "csv":
@@ -171,8 +177,8 @@ def _cmd_synergy(args, coras: bool) -> int:
     return EXIT_OK
 
 
-def _cmd_simulate(args, coras: bool) -> int:
-    model = _load(args.file, coras)
+def _cmd_simulate(args) -> int:
+    model = _load(args)
     verdict = oracle.check_rule(
         args.rule, model, runs=args.runs, horizon=args.horizon, seed=args.seed
     )
@@ -180,8 +186,8 @@ def _cmd_simulate(args, coras: bool) -> int:
     return EXIT_OK
 
 
-def _cmd_export(args, coras: bool) -> int:
-    model = _load(args.file, coras)
+def _cmd_export(args) -> int:
+    model = _load(args)
     sys.stdout.write(dsl.to_json(model) if args.to == "json" else dsl.serialize(model))
     return EXIT_OK
 
@@ -193,18 +199,7 @@ def run(argv: list[str]) -> int:
     except SystemExit as e:
         return EXIT_USAGE if e.code else EXIT_OK
     try:
-        if args.command == "validate":
-            return _cmd_validate(args.file, args.coras)
-        if args.command == "propagate":
-            return _cmd_propagate(args, args.coras)
-        if args.command == "analyze":
-            return _cmd_analyze(args, args.coras)
-        if args.command == "synergy":
-            return _cmd_synergy(args, args.coras)
-        if args.command == "simulate":
-            return _cmd_simulate(args, args.coras)
-        if args.command == "export":
-            return _cmd_export(args, args.coras)
+        return args.handler(args)
     except (
         dsl.DslError,
         CalculusError,
@@ -216,7 +211,6 @@ def run(argv: list[str]) -> int:
     ) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_MODEL_ERROR
-    return EXIT_USAGE
 
 
 def main():

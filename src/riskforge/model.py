@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import enum
+import heapq
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .intervals import Interval
 
@@ -216,12 +217,6 @@ class RiskModel:
     def incidents(self) -> tuple[Vertex, ...]:
         return tuple(v for v in self.vertices if v.kind is VertexKind.UNWANTED_INCIDENT)
 
-    def edges(self) -> list[tuple[str, str]]:
-        """Directed edges of the propagation graph (initiate and leads-to)."""
-        return [(r.source, r.target) for r in self.initiates] + [
-            (r.source, r.target) for r in self.leadsto
-        ]
-
     def intervals(self) -> Iterator[tuple[object, str, Interval]]:
         """(record, description, value) of every interval annotation: frequencies
         per base period, likelihoods, effects, dependencies and consequences."""
@@ -245,35 +240,33 @@ class RiskModel:
         return all(iv.is_point for _, _, iv in self.intervals())
 
 
-def _find_cycle(vertices: list[str], edges: list[tuple[str, str]]) -> Optional[list[str]]:
-    out: dict[str, list[str]] = {v: [] for v in vertices}
+def topological_order(
+    nodes: Iterable[str], edges: Iterable[tuple[str, str]]
+) -> tuple[list[str], dict[str, list[str]]]:
+    """Kahn's algorithm (Kahn, 1962) with ties broken by the smallest id.
+
+    Returns the smallest topological order of ``nodes`` and each node's
+    successors, one entry per edge; edges with an endpoint outside ``nodes``
+    are ignored. The order leaves out exactly the nodes on a cycle or reachable
+    from one, so it holds every node iff the graph is acyclic.
+    """
+    succ: dict[str, list[str]] = {n: [] for n in nodes}
+    indeg = dict.fromkeys(succ, 0)
     for a, b in edges:
-        if a in out and b in out:
-            out[a].append(b)
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {v: WHITE for v in vertices}
-    stack: list[str] = []
-
-    def visit(v: str) -> Optional[list[str]]:
-        color[v] = GREY
-        stack.append(v)
-        for w in out[v]:
-            if color[w] == GREY:
-                return stack[stack.index(w):]
-            if color[w] == WHITE:
-                cyc = visit(w)
-                if cyc is not None:
-                    return cyc
-        stack.pop()
-        color[v] = BLACK
-        return None
-
-    for v in vertices:
-        if color[v] == WHITE:
-            cyc = visit(v)
-            if cyc is not None:
-                return cyc
-    return None
+        if a in succ and b in succ:
+            succ[a].append(b)
+            indeg[b] += 1
+    ready = [n for n, d in indeg.items() if d == 0]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        n = heapq.heappop(ready)
+        order.append(n)
+        for m in succ[n]:
+            indeg[m] -= 1
+            if indeg[m] == 0:
+                heapq.heappush(ready, m)
+    return order, succ
 
 
 def validate(model: RiskModel, coras: bool = False) -> list[Diagnostic]:
@@ -319,20 +312,22 @@ def validate(model: RiskModel, coras: bool = False) -> list[Diagnostic]:
         if '"' in text or (not text.isprintable() and "".join(text.splitlines()) != text):
             err(f"text {text!r} contains a double quote or a line break", subject)
 
-    ids = {v.id for v in model.vertices}
+    kinds: dict[str, VertexKind] = {}
+    for v in model.vertices:
+        kinds.setdefault(v.id, v.kind)  # the first declaration, as model.vertex finds it
     core_ids = {v.id for v in model.core_vertices}
 
     for r in model.initiates:
-        if r.source not in ids or r.target not in ids:
+        if r.source not in kinds or r.target not in kinds:
             err(f"initiate {r.source}->{r.target} references an undeclared vertex", r)
             continue
-        if model.vertex(r.source).kind is not VertexKind.THREAT:
+        if kinds[r.source] is not VertexKind.THREAT:
             err(f"initiate source {r.source!r} is not a threat", r)
         if r.target not in core_ids:
             err(f"initiate target {r.target!r} is not a scenario or incident", r)
 
     for r in model.leadsto:
-        if r.source not in ids or r.target not in ids:
+        if r.source not in kinds or r.target not in kinds:
             err(f"leadsto {r.source}->{r.target} references an undeclared vertex", r)
             continue
         if r.source not in core_ids or r.target not in core_ids:
@@ -346,12 +341,12 @@ def validate(model: RiskModel, coras: bool = False) -> list[Diagnostic]:
                 warn(f"leadsto {r.source}->{r.target} likelihood exceeds 1", r)
 
     for r in model.impacts:
-        if r.source not in ids or r.target not in ids:
+        if r.source not in kinds or r.target not in kinds:
             err(f"impact {r.source}->{r.target} references an undeclared vertex", r)
             continue
-        if model.vertex(r.source).kind is not VertexKind.UNWANTED_INCIDENT:
+        if kinds[r.source] is not VertexKind.UNWANTED_INCIDENT:
             err(f"impact source {r.source!r} is not an incident", r)
-        if model.vertex(r.target).kind is not VertexKind.ASSET:
+        if kinds[r.target] is not VertexKind.ASSET:
             err(f"impact target {r.target!r} is not an asset", r)
 
     unit_box = Interval(0.0, 1.0)
@@ -359,7 +354,7 @@ def validate(model: RiskModel, coras: bool = False) -> list[Diagnostic]:
     for t in model.treats:
         if t.countermeasure not in cm_seen:
             err(f"treats references undeclared countermeasure {t.countermeasure!r}", t)
-        if t.target not in ids:
+        if t.target not in kinds:
             err(f"treats references undeclared vertex {t.target!r}", t)
         elif t.target not in core_ids:
             # The calculus only defines treatment of scenarios and incidents.
@@ -396,9 +391,9 @@ def validate(model: RiskModel, coras: bool = False) -> list[Diagnostic]:
         if a.risk in risks:
             err(f"duplicate acceptance criterion for {a.risk!r}", a)
         risks.add(a.risk)
-        if a.risk not in ids:
+        if a.risk not in kinds:
             err(f"acceptance criterion references undeclared vertex {a.risk!r}", a)
-        elif model.vertex(a.risk).kind is not VertexKind.UNWANTED_INCIDENT:
+        elif kinds[a.risk] is not VertexKind.UNWANTED_INCIDENT:
             err(f"acceptance criterion target {a.risk!r} is not an incident", a)
         if a.max_frequency is None and a.max_risk_cost is None:
             err(f"acceptance criterion for {a.risk!r} has no bound", a)
@@ -412,25 +407,33 @@ def validate(model: RiskModel, coras: bool = False) -> list[Diagnostic]:
         if not (math.isfinite(iv.lo) and math.isfinite(iv.hi)):
             err(f"{what} is not a finite number", subject)
 
-    cycle = _find_cycle(sorted(ids), model.edges())
-    if cycle is not None:
-        relations = (*model.initiates, *model.leadsto)
+    relations = (*model.initiates, *model.leadsto)
+    edges = [(r.source, r.target) for r in relations]
+    order, succ = topological_order(kinds, edges)
+    if len(order) < len(kinds):
+        # Every node left out has a predecessor left out; walking back through
+        # them repeats a vertex, and the walk since its first visit is a cycle.
+        left = kinds.keys() - order
+        pred = {b: a for a, b in reversed(edges) if a in left and b in left}  # first edge wins
+        walk: dict[str, int] = {}
+        v = min(left)
+        while v not in walk:
+            walk[v] = len(walk)
+            v = pred[v]
+        cycle = list(walk)[walk[v] :][::-1]  # in edge direction
+        start = cycle.index(min(cycle))
+        cycle = cycle[start:] + cycle[:start]
         closing = next(r for r in relations if (r.source, r.target) == (cycle[-1], cycle[0]))
         err("cycle: " + ",".join(cycle), closing)
-    else:
+    elif not any(d.is_error for d in diags):
         # Reachability only makes sense on a DAG with resolved endpoints.
-        if not any(d.is_error for d in diags):
-            reachable: set[str] = {v.id for v in model.vertices if v.kind is VertexKind.THREAT}
-            changed = True
-            while changed:
-                changed = False
-                for a, b in model.edges():
-                    if a in reachable and b not in reachable:
-                        reachable.add(b)
-                        changed = True
-            for v in model.incidents:
-                if v.id not in reachable:
-                    err(f"incident {v.id!r} is unreachable from every threat", v)
+        reachable = {vid for vid, kind in kinds.items() if kind is VertexKind.THREAT}
+        for a in order:
+            if a in reachable:
+                reachable.update(succ[a])
+        for v in model.incidents:
+            if v.id not in reachable:
+                err(f"incident {v.id!r} is unreachable from every threat", v)
 
     overlapping = [v for v in model.core_vertices if v.merge_policy is MergePolicy.OVERLAPPING]
     if overlapping and model.is_point_valued():

@@ -205,6 +205,10 @@ def generate_history(
     effective frequency effect, so filtering out tagged events reproduces the
     calculus residual. Deterministic for a fixed (seed, parameters) pair.
     """
+    _check_point_model(model)
+    # The sampler keeps a mutually exclusive vertex's first contribution, so
+    # check first that they agree: propagate raises CalculusError otherwise.
+    propagate(model, alternative)
     ((samples, _),) = _sample(model, alternative, horizon, [seed])
     events = []
     for v, treats, times, tags in samples:

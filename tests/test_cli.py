@@ -336,3 +336,37 @@ def test_any_input_ends_in_an_exit_code_and_at_most_one_error_line(data, suffix)
             errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
             assert len(errors) <= 1, (argv, errors)
             assert "Traceback" not in err.getvalue()
+
+
+def _chain_text(n: int, closed: bool) -> str:
+    """A threat, n - 1 scenarios in a chain and an incident at its end; with
+    ``closed``, the incident also leads back to the first scenario."""
+    lines = ['riskmodel "deep" timeunit 1y', "threat T"]
+    lines += [f"scenario S{i}" for i in range(n - 1)]
+    lines += [f"incident S{n - 1} consequence 1", "initiate T -> S0 frequency 1:1y"]
+    lines += [f"leadsto S{i} -> S{i + 1} likelihood 0.5" for i in range(n - 1)]
+    if closed:
+        lines.append(f"leadsto S{n - 1} -> S0 likelihood 0.5")
+    return "\n".join(lines) + "\n"
+
+
+def test_deep_chain_validates_and_propagates(tmp_path, capsys):
+    # Deeper than the default recursion limit: no step may recurse per vertex.
+    dsl_path = tmp_path / "deep.riskdsl"
+    dsl_path.write_text(_chain_text(3000, closed=False))
+    json_path = tmp_path / "deep.json"
+    json_path.write_text(to_json(parse(dsl_path.read_text())))
+    for path in (dsl_path, json_path):
+        assert run(["validate", str(path)]) == 0
+        assert run(["propagate", str(path), "--format", "json"]) == 0
+        assert len(json.loads(capsys.readouterr().out)) == 3000
+
+    cyclic = tmp_path / "cyclic.riskdsl"
+    cyclic.write_text(_chain_text(3000, closed=True))
+    for command in ("validate", "propagate"):
+        assert run([command, str(cyclic)]) == 1
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            err.strip()
+        ]
+        assert "cycle: S0,S1," in err

@@ -1,3 +1,6 @@
+from collections import deque
+
+import numpy as np
 import pytest
 
 from riskforge import (
@@ -5,6 +8,7 @@ from riskforge import (
     CalculusError,
     Countermeasure,
     Frequency,
+    InitiateRel,
     Interval,
     LeadsToRel,
     MergePolicy,
@@ -18,6 +22,8 @@ from riskforge import (
     validate,
 )
 from dataclasses import replace
+
+from genmodels import random_model
 
 
 def test_interval_invariant():
@@ -215,3 +221,58 @@ def _huge_per_day(model: RiskModel, slot: str) -> RiskModel:
 def test_validate_rejects_numbers_infinite_per_base_period(ehealth, slot, message):
     broken = _huge_per_day(replace(ehealth, treats=(), depends=()), slot)
     assert [d.message for d in validate(broken) if d.is_error] == [message]
+
+
+def _bfs(edges, starts):
+    """Every vertex reached from ``starts`` by one or more edges."""
+    out = {}
+    for a, b in edges:
+        out.setdefault(a, []).append(b)
+    seen, todo = set(), deque(starts)
+    while todo:
+        for b in out.get(todo.popleft(), ()):
+            if b not in seen:
+                seen.add(b)
+                todo.append(b)
+    return seen
+
+
+def test_validate_cycles_and_reachability_match_brute_force():
+    rng = np.random.default_rng(31)
+    rate = Frequency(Interval.point(1.0), Period(1, "y"))
+    cycles = unreachable = 0
+    for _ in range(300):
+        m = random_model(rng, max_scenarios=6, max_incidents=3)
+        threats = [v.id for v in m.vertices if v.kind is VertexKind.THREAT]
+        core = [v.id for v in m.core_vertices]
+        # Drop some relations and add random ones: cycles and unreachable incidents.
+        initiates = [r for r in m.initiates if rng.random() < 0.8]
+        initiates += [
+            InitiateRel(str(rng.choice(threats)), str(rng.choice(core)), rate)
+            for _ in range(rng.integers(0, 2))
+        ]
+        leadsto = [r for r in m.leadsto if rng.random() < 0.8]
+        leadsto += [
+            LeadsToRel(str(rng.choice(core)), str(rng.choice(core)), Interval.point(0.5))
+            for _ in range(rng.integers(0, 3))
+        ]
+        m = replace(m, initiates=tuple(initiates), leadsto=tuple(leadsto))
+        edges = {(r.source, r.target) for r in (*initiates, *leadsto)}
+        errors = [d for d in validate(m) if d.is_error]
+        if any(v in _bfs(edges, [v]) for v in core):
+            cycles += 1
+            (error,) = errors
+            cycle = error.message.removeprefix("cycle: ").split(",")
+            assert len(set(cycle)) == len(cycle) and cycle[0] == min(cycle)
+            assert all((a, b) in edges for a, b in zip(cycle, cycle[1:] + cycle[:1]))
+            assert (error.subject.source, error.subject.target) == (cycle[-1], cycle[0])
+        else:
+            reached = _bfs(edges, threats)
+            expected = [
+                f"incident {v.id!r} is unreachable from every threat"
+                for v in m.incidents
+                if v.id not in reached
+            ]
+            assert [d.message for d in errors] == expected
+            unreachable += bool(expected)
+    assert cycles > 50 and unreachable > 20, (cycles, unreachable)

@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from riskforge import (
+    CalculusError,
     Countermeasure,
     DependsRel,
     Frequency,
@@ -21,6 +24,7 @@ from riskforge import (
     empirical_frequency,
     filter_events,
     generate_history,
+    propagate,
     random_rule_instance,
     truncate,
     validate,
@@ -299,3 +303,27 @@ def test_sampler_survivors_are_the_history_frequency(rule):
             if alternative == frozenset(cms):
                 verdict = check_rule(rule, instance, runs=runs, horizon=horizon, seed=seed)
                 assert verdict.empirical_mean == float(np.mean(from_history))
+
+
+def test_generate_history_rejects_disagreeing_exclusive_contributions(monkeypatch):
+    from riskforge import oracle
+
+    instance = random_rule_instance("exclusive", np.random.default_rng(1))
+    first, second = instance.leadsto
+    disagreeing = replace(instance, leadsto=(first, replace(second, likelihood=pt(0.05))))
+    with pytest.raises(CalculusError, match="mutually exclusive vertex 'C'"):
+        generate_history(disagreeing, frozenset(), 100.0, seed=0)
+    # The point-model checks still come first.
+    wide = replace(disagreeing, leadsto=(first, replace(second, likelihood=Interval(0.05, 0.1))))
+    with pytest.raises(OracleError, match="point"):
+        generate_history(wide, frozenset(), 100.0, seed=0)
+    # check_rule still runs propagate once.
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return propagate(*args)
+
+    monkeypatch.setattr(oracle, "propagate", counting)
+    check_rule("exclusive", instance, runs=2, horizon=20.0)
+    assert len(calls) == 1
