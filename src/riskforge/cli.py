@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from pathlib import Path
 
@@ -95,7 +94,7 @@ def _cmd_propagate(args) -> int:
             }
             for vid, r in results.items()
         }
-        print(json.dumps(doc, indent=2))
+        print(dsl._indented_json(doc))
     else:
         period = model.base_period
         rows = [("vertex", f"freq [/{period}]", "consequence")]
@@ -114,21 +113,16 @@ def _cmd_analyze(args) -> int:
     elif args.format == "dot":
         out = analysis.export_dot(analysis.build_decision_diagram(states))
     else:
-        out = (
-            json.dumps(
-                [
-                    {
-                        "state": f"S{s.index}",
-                        "alternative": sorted(s.alternative),
-                        "frequency": dsl._value_to_json(s.frequency),
-                        "consequence": dsl._value_to_json(s.consequence),
-                    }
-                    for s in states
-                ],
-                indent=2,
-            )
-            + "\n"
-        )
+        doc = [
+            {
+                "state": f"S{s.index}",
+                "alternative": sorted(s.alternative),
+                "frequency": dsl._value_to_json(s.frequency),
+                "consequence": dsl._value_to_json(s.consequence),
+            }
+            for s in states
+        ]
+        out = dsl._indented_json(doc) + "\n"
     if args.out:
         Path(args.out).write_text(out, encoding="utf-8")
     else:
@@ -170,7 +164,7 @@ def _cmd_synergy(args) -> int:
                 for g in rec.report
             ],
         }
-        print(json.dumps(doc, indent=2))
+        print(dsl._indented_json(doc))
     if rec.outcome != "recommended":
         print(f"outcome: {rec.outcome}", file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -182,7 +176,7 @@ def _cmd_simulate(args) -> int:
     verdict = oracle.check_rule(
         args.rule, model, runs=args.runs, horizon=args.horizon, seed=args.seed
     )
-    print(json.dumps(verdict.to_json(), indent=2))
+    print(dsl._indented_json(verdict.to_json()))
     return EXIT_OK
 
 

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 import re
 from dataclasses import dataclass, fields, replace
 from functools import partial
+from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from typing import Callable, NamedTuple, Optional, Union, get_args, get_origin, get_type_hints
 
@@ -63,13 +65,24 @@ class DslSemanticError(DslError):
     pass
 
 
+# Token fragments, shared by the tokenizer and the line patterns.
+_NUMBER = r"\d+(?:\.\d+)?(?:[eE][+-]?\d+)?"  # unsigned; the tokenizer also reads a sign
+_IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
+_STRING_BODY = r'[^"\n]*'
+_COMMENT = r"\#.*"
+_WS = r"\s*"  # between two tokens
+# Maximal munch: a line pattern reads no token that the tokenizer would read
+# longer, so it cannot split one (`Aexclusive`, `0.5eL`, `1.5.3`).
+_IDENT_END = r"(?![A-Za-z0-9_])"
+_NUMBER_END = r"(?!\d|\.\d|[eE][+-]?\d)"
+
 _TOKEN_RE = re.compile(
-    r"""
+    rf"""
     (?P<ws>\s+)
-  | (?P<comment>\#.*)
-  | (?P<string>"[^"\n]*")
-  | (?P<number>-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<comment>{_COMMENT})
+  | (?P<string>"{_STRING_BODY}")
+  | (?P<number>-?{_NUMBER})
+  | (?P<ident>{_IDENT})
   | (?P<arrow>->)
   | (?P<le><=)
   | (?P<punct>[\[\],:()])
@@ -216,17 +229,66 @@ def _field_types(record: type) -> dict[str, type]:
     return types
 
 
-# (write, read) per field type, as _CODECS is for JSON. A quoted field is a string.
-_DSL_CODECS: dict[type, tuple[Callable, Callable]] = {
-    str: (str, _LineParser.ident),
-    float: (_fmt_num, _LineParser.number),
-    Interval: (_fmt_value, _LineParser.value),
-    Frequency: (_fmt_freq, _LineParser.frequency),
-    Period: (str, _LineParser.period),
-    VertexKind: (attrgetter("value"), partial(_LineParser.member, kind=VertexKind)),
-    MergePolicy: (attrgetter("value"), partial(_LineParser.member, kind=MergePolicy)),
+def _value_from_groups(point: Optional[str], lo: Optional[str], hi: Optional[str]) -> Interval:
+    if point is not None:
+        return Interval.point(float(point))
+    return Interval(float(lo), float(hi))  # ValueError when lo > hi
+
+
+def _period_from_groups(magnitude: str, unit: str) -> Period:
+    return Period(int(magnitude), unit)  # ValueError for 0, too many digits or too many days
+
+
+def _freq_from_groups(point, lo, hi, magnitude, unit) -> Frequency:
+    return Frequency(_value_from_groups(point, lo, hi), _period_from_groups(magnitude, unit))
+
+
+class _Codec(NamedTuple):
+    """How the DSL writes a field type and reads it, token by token and by pattern."""
+
+    write: Callable  # value -> text
+    read: Callable  # (_LineParser, what) -> value
+    pattern: str  # the text of a value; its groups are the arguments of decode
+    decode: Callable  # groups -> value; a ValueError leaves the line to the walker
+
+    @property
+    def groups(self) -> int:
+        return re.compile(self.pattern).groups
+
+
+def _member_codec(kind: type[enum.Enum]) -> _Codec:
+    members = {m.value: m for m in kind}
+    return _Codec(
+        attrgetter("value"),
+        partial(_LineParser.member, kind=kind),
+        f"({'|'.join(map(re.escape, members))}){_IDENT_END}",
+        members.__getitem__,
+    )
+
+
+_NUM = rf"({_NUMBER}){_NUMBER_END}"
+_VALUE = rf"(?:{_NUM}|\[\s*{_NUM}\s*,\s*{_NUM}\s*\])"
+_PERIOD = rf"(\d+){_NUMBER_END}\s*([dmy]){_IDENT_END}"
+
+# Per field type, as _CODECS is for JSON. A quoted field is a string.
+_DSL_CODECS: dict[type, _Codec] = {
+    str: _Codec(str, _LineParser.ident, rf"({_IDENT}){_IDENT_END}", str),
+    float: _Codec(_fmt_num, _LineParser.number, _NUM, float),
+    Interval: _Codec(_fmt_value, _LineParser.value, _VALUE, _value_from_groups),
+    Frequency: _Codec(
+        _fmt_freq, _LineParser.frequency, rf"{_VALUE}\s*:\s*{_PERIOD}", _freq_from_groups
+    ),
+    Period: _Codec(str, _LineParser.period, _PERIOD, _period_from_groups),
+    VertexKind: _member_codec(VertexKind),
+    MergePolicy: _member_codec(MergePolicy),
 }
-_QUOTED = ('"{}"'.format, _LineParser.string)
+_QUOTED = _Codec('"{}"'.format, _LineParser.string, f'"({_STRING_BODY})"', str)
+
+# A piece's pattern(steps, n, guard) returns its pattern, whose groups are
+# numbered from n + 1, and the number of its last group. Per field it appends
+# (name, decode, i, j, guard) to steps: the field's groups are Match.groups()
+# [i:j], and it is read unless the optional part whose group has index guard
+# did not match.
 
 
 class _Literal(NamedTuple):
@@ -240,18 +302,26 @@ class _Literal(NamedTuple):
         for tok in self.tokens:
             p.take(tok.kind, repr(tok.text), tok.text)
 
+    def pattern(self, steps: list, n: int, guard: Optional[int]) -> tuple[str, int]:
+        end = {"ident": _IDENT_END}
+        return "".join(_WS + re.escape(t.text) + end.get(t.kind, "") for t in self.tokens), n
+
 
 class _Field(NamedTuple):
     name: str
     what: str  # the field as error messages name it
-    write_value: Callable
-    read_value: Callable
+    codec: _Codec
 
     def write(self, record) -> str:
-        return self.write_value(getattr(record, self.name))
+        return self.codec.write(getattr(record, self.name))
 
     def read(self, p: _LineParser, values: dict):
-        values[self.name] = self.read_value(p, self.what)
+        values[self.name] = self.codec.read(p, self.what)
+
+    def pattern(self, steps: list, n: int, guard: Optional[int]) -> tuple[str, int]:
+        end = n + self.codec.groups
+        steps.append((self.name, self.codec.decode, n, end, guard))
+        return _WS + self.codec.pattern, end
 
 
 class _Group(NamedTuple):
@@ -276,6 +346,17 @@ class _Group(NamedTuple):
                 piece.read(p, values)
         return values
 
+    def pattern(self, steps: list, n: int, guard: Optional[int] = None) -> tuple[str, int]:
+        optional = self.name is not None
+        if optional:  # its own group, index n, tells whether it matched
+            guard, n = n, n + 1
+        parts = []
+        for piece in self.pieces:
+            part, n = piece.pattern(steps, n, guard)
+            parts.append(part)
+        body = "".join(parts)
+        return (f"({body})?" if optional else body), n
+
 
 _PIECE_RE = re.compile(r'(\[)|(\])|("?)\{(\w+)\}\3|([^[\]{"]+)')
 
@@ -295,9 +376,9 @@ def _statement(record: type, template: str) -> tuple[type, _Group]:
             name = next(q.name for q in pieces if isinstance(q, _Field))
             groups[-1].append(_Group(pieces, name, first))
         elif name:
-            write, read = _QUOTED if quote else _DSL_CODECS[types[name]]
+            codec = _QUOTED if quote else _DSL_CODECS[types[name]]
             what = record.__name__.lower() if name == "id" else name.replace("_", " ")
-            groups[-1].append(_Field(name, what, write, read))
+            groups[-1].append(_Field(name, what, codec))
         else:
             groups[-1].append(_Literal(text, tuple(_LineParser(text, 0).tokens[:-1])))
     return record, _Group(tuple(groups[0]))
@@ -340,52 +421,108 @@ _GRAMMAR = {
 _STATEMENTS = {key: _statement(*statement) for key, statement in _GRAMMAR.items()}
 
 
+def _line_pattern() -> tuple[re.Pattern, dict[int, tuple[str, tuple]]]:
+    """One pattern for a whole line, blank or one statement of _STATEMENTS,
+    whose text is a group; and per statement group, its key and decode steps."""
+    alternatives, statements, n = [], {}, 0
+    for key, (_, template) in _STATEMENTS.items():
+        steps: list = []
+        body, end = template.pattern(steps, n + 1)
+        # The walker picks a statement by its first word, which may be a field.
+        word = rf"(?={re.escape(key.split()[0])}{_IDENT_END})"
+        alternatives.append(f"({word}{body.removeprefix(_WS)})")
+        statements[n + 1] = (key, tuple(steps))
+        n = end
+    return re.compile(f"{_WS}(?:{'|'.join(alternatives)}|){_WS}(?:{_COMMENT})?"), statements
+
+
+_LINE_RE, _LINE_STATEMENTS = _line_pattern()
+
+
+def _match(raw: str) -> Optional[tuple]:
+    """(key, values, column of the first token) of a line the line pattern
+    reads, () for a blank line and None for a line left to _walk."""
+    m = _LINE_RE.fullmatch(raw)
+    if m is None:
+        return None
+    k = m.lastindex
+    if k is None:
+        return ()
+    key, steps = _LINE_STATEMENTS[k]
+    groups = m.groups()
+    try:
+        values = {
+            name: decode(*groups[i:j])
+            for name, decode, i, j, guard in steps
+            if guard is None or groups[guard] is not None
+        }
+    except ValueError:  # a value that cannot be built: _walk says why
+        return None
+    return key, values, m.start(k) + 1
+
+
+def _walk(raw: str, line_no: int) -> tuple:
+    """(key, values, column of the first token) of a line read token by token,
+    () for a blank line. Raises the diagnostic of a malformed line."""
+    p = _LineParser(raw, line_no)
+    head = p.tokens[0]
+    if head.kind == "end":
+        return ()
+    key = head.text
+    if key == "accept":  # the word after the risk picks one of two statements
+        word = p.tokens[min(2, len(p.tokens) - 1)]
+        key += f" {word.text}"
+        if key not in _STATEMENTS:
+            raise DslSyntaxError("expected 'frequency' or 'cost'", word.span)
+    elif key not in _STATEMENTS:
+        raise DslSyntaxError(f"unknown statement {key!r}", head.span)
+    values = _STATEMENTS[key][1].read(p, {})
+    p.take("end", "end of line")
+    return key, values, head.column
+
+
 def parse(text: str, coras: bool = False) -> RiskModel:
     """Parse DSL text into a validated RiskModel.
 
-    Raises DslSyntaxError or DslSemanticError, each carrying a SourceSpan; a
+    Each line is read by the line pattern compiled from _GRAMMAR; a line it
+    rejects is read token by token, which raises the diagnostic. Errors are
+    DslSyntaxError or DslSemanticError, each carrying a SourceSpan; a
     ``validate`` error points at the statement of the record at fault. With
     coras=True, likelihoods above 1 are rejected.
     """
     header: Optional[dict] = None
-    statements: list[tuple[type, dict, SourceSpan]] = []  # in source order
-    merges: dict[str, tuple[MergePolicy, SourceSpan]] = {}
+    # (line, column) of a statement's first token; a SourceSpan only for an error
+    statements: list[tuple[type, dict, tuple[int, int]]] = []  # in source order
+    merges: dict[str, tuple[MergePolicy, tuple[int, int]]] = {}
     criteria: dict[str, dict] = {}  # risk -> values of its first criterion
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        p = _LineParser(raw, line_no)
-        head = p.tokens[0]
-        if head.kind == "end":
+        statement = _match(raw)
+        if statement is None:
+            statement = _walk(raw, line_no)
+        if not statement:
             continue
-        key = head.text
-        if key == "accept":  # the word after the risk picks one of two statements
-            word = p.tokens[min(2, len(p.tokens) - 1)]
-            key += f" {word.text}"
-            if key not in _STATEMENTS:
-                raise DslSyntaxError("expected 'frequency' or 'cost'", word.span)
-        elif key not in _STATEMENTS:
-            raise DslSyntaxError(f"unknown statement {key!r}", head.span)
-        record, template = _STATEMENTS[key]
-        values = template.read(p, {})
-        p.take("end", "end of line")
+        key, values, column = statement
+        span = (line_no, column)
+        record = _STATEMENTS[key][0]
         if record is RiskModel:
             if header is not None:
-                raise DslSemanticError("duplicate 'riskmodel' line", head.span)
+                raise DslSemanticError("duplicate 'riskmodel' line", SourceSpan(*span))
             header = values
             continue
         if key == "merge":
-            merges[values["id"]] = (values["merge_policy"], head.span)
+            merges[values["id"]] = (values["merge_policy"], span)
             continue
         if record is AcceptanceCriterion:
             first = criteria.setdefault(values["risk"], values)
             if first is not values and first.keys() & values.keys() == {"risk"}:
                 first.update(values)  # the risk's other bound
                 continue
-        statements.append((record, values, head.span))
+        statements.append((record, values, span))
 
     if header is None:
         raise DslSemanticError("missing 'riskmodel' header line", SourceSpan(1, 1))
     collections: dict[str, list] = {name: [] for name in _COLLECTIONS}
-    spans: dict[int, SourceSpan] = {}  # id(record) -> its statement's span
+    spans: dict[int, tuple[int, int]] = {}  # id(record) -> its statement's span
     for record, values, span in statements:
         if record is Vertex and values["id"] in merges:
             values["merge_policy"] = merges.pop(values["id"])[0]
@@ -394,12 +531,12 @@ def parse(text: str, coras: bool = False) -> RiskModel:
         spans[id(r)] = span
     if merges:  # for an id that no vertex declares
         vid, (_, span) = next(iter(merges.items()))
-        raise DslSemanticError(f"merge policy for undeclared vertex {vid!r}", span)
+        raise DslSemanticError(f"merge policy for undeclared vertex {vid!r}", SourceSpan(*span))
     model = RiskModel(**header, **{name: tuple(rs) for name, rs in collections.items()})
     errors = [d for d in validate(model, coras=coras) if d.is_error]
     if errors:
-        span = spans.get(id(errors[0].subject), SourceSpan(1, 1))
-        raise DslSemanticError("; ".join(d.message for d in errors), span)
+        span = spans.get(id(errors[0].subject), (1, 1))
+        raise DslSemanticError("; ".join(d.message for d in errors), SourceSpan(*span))
     return mark_valid(canonical(model))
 
 
@@ -547,6 +684,39 @@ def _records_from_json(entries, collection: str) -> tuple:
     return tuple(records)
 
 
+def _indented_json(obj, indent: str = "\n") -> str:
+    """What json.dumps(obj, indent=2) writes, for dicts with str keys, lists,
+    str, int, float, bool and None. json.dumps falls back to its pure-Python
+    encoder whenever it indents; this writer takes fewer steps per value."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = indent + "  "
+        items = [
+            f"{inner}{encode_basestring_ascii(k)}: {_indented_json(v, inner)}"
+            for k, v in obj.items()
+        ]
+        return "{" + ",".join(items) + indent + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = indent + "  "
+        return "[" + ",".join([inner + _indented_json(v, inner) for v in obj]) + indent + "]"
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if math.isfinite(obj):
+            return float.__repr__(obj)
+        return "NaN" if obj != obj else "Infinity" if obj > 0 else "-Infinity"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def to_json(model: RiskModel) -> str:
     """Lossless JSON mirror of the DSL, schema version 1.
 
@@ -557,7 +727,7 @@ def to_json(model: RiskModel) -> str:
     doc = dict(schema=JSON_SCHEMA_VERSION, name=model.name, base_period=str(model.base_period))
     for collection, (_, layout) in _COLLECTIONS.items():
         doc[collection] = [_record_to_json(r, layout) for r in getattr(model, collection)]
-    return json.dumps(doc, indent=2) + "\n"
+    return _indented_json(doc) + "\n"
 
 
 def from_json(text: str, coras: bool = False) -> RiskModel:

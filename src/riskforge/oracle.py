@@ -151,8 +151,8 @@ def _sample(model: RiskModel, alternative: Alternative, horizon: float, seeds):
     selected treats relation; ``surviving`` maps vertex ids to untagged times.
     """
     _check_point_model(model)
-    if horizon <= 0:
-        raise OracleError("horizon must be positive")
+    if not 0 < horizon < math.inf:  # also NaN
+        raise OracleError(f"horizon must be finite and positive, not {horizon}")
     compiled = [
         (
             v,
@@ -337,6 +337,10 @@ def check_rule(
     vertex over independent histories; pass iff within 3 standard errors."""
     if rule not in RULES:
         raise OracleError(f"unknown rule {rule!r}; expected one of {RULES}")
+    if runs < 1:
+        raise OracleError(f"runs must be at least 1, not {runs}")
+    if seed < 0:
+        raise OracleError(f"seed must be nonnegative, not {seed}")
     _check_point_model(instance)
     if len(instance.core_vertices) > 6:
         raise OracleError("rule instances are limited to 6 core vertices")

@@ -3,6 +3,7 @@ rank by overall cost, recommend."""
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -201,6 +202,8 @@ def recommend(
 
     The full ranking it was picked from comes along as ``ranking``.
     """
+    if budget is not None and math.isnan(budget):  # no cost compares with NaN
+        raise SynergyError("budget must be a number, not nan")
     ranked, report = _search(model, cap, pessimistic)
     if not ranked:
         return Recommendation("no_feasible", report=report)

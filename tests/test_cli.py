@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -154,6 +155,27 @@ def test_simulate(rule_path, capsys):
     assert doc["calculus_value"] == pytest.approx(2.4)
     assert doc["pass"] is True
     assert doc["rng"] == "numpy-pcg64"
+
+
+@pytest.mark.parametrize(
+    "argument",
+    [
+        "--horizon=nan",
+        "--horizon=inf",
+        "--horizon=-inf",
+        "--horizon=0",
+        "--runs=-3",
+        "--runs=0",
+        "--seed=-1",
+    ],
+)
+def test_simulate_rejects_a_bad_numeric_argument(rule_path, argument, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["simulate", rule_path, "--rule", "leads_to", "--runs", "2", argument]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_export_roundtrip_via_cli(ehealth_path, tmp_path, capsys):

@@ -19,8 +19,9 @@ from riskforge import (
     serialize,
     to_json,
 )
+from riskforge import dsl
 from riskforge.cli import run
-from riskforge.dsl import canonical
+from riskforge.dsl import SourceSpan, canonical
 
 from genmodels import random_model
 
@@ -428,3 +429,127 @@ def test_grammar_accepts_no_new_forms(statement):
     with pytest.raises(DslSyntaxError) as exc:
         parse(HEADER + THREAT_TO_R + statement + "\n")
     assert exc.value.span.line == 5
+
+
+# Statement forms and spacing that neither the fixtures nor serialize write.
+EXTRA_LINES = [
+    'asset A "the asset"',
+    "merge V0 exclusive",
+    "impact R -> A",
+    'countermeasure C "a label" cost 1.5e3:6m',
+    "accept R cost <= 5:1y",
+    "accept R frequency <= [1,2.5]:10y",
+    "  leadsto\tA->B likelihood [0,1] # comment",
+]
+
+
+def _well_formed_lines() -> list[str]:
+    rng = np.random.default_rng(11)
+    texts = [path.read_text() for path in sorted((Path(__file__).parent / "fixtures").glob("*"))]
+    for i in range(40):
+        model = random_model(
+            rng, interval=i % 2 == 1, allow_overlapping=True, exclusive=i % 4 == 0
+        )
+        texts.append(serialize(model))
+    return [line for text in texts for line in text.splitlines()] + EXTRA_LINES
+
+
+WELL_FORMED = _well_formed_lines()
+
+
+def _same(fast, walked) -> bool:
+    # repr tells -0.0 from 0.0, which == does not
+    return fast == walked and repr(fast) == repr(walked)
+
+
+def test_line_pattern_reads_every_well_formed_line():
+    keys = set()
+    for line in WELL_FORMED:
+        fast = dsl._match(line)
+        assert fast is not None, line
+        assert _same(fast, dsl._walk(line, 1)), line
+        keys.update(fast[:1])
+    assert keys == set(dsl._STATEMENTS)
+
+
+@st.composite
+def mutated_line(draw) -> str:
+    """A well-formed line with DSL-like text inserted into, or cut out of, it."""
+    line = draw(st.sampled_from(WELL_FORMED))
+    j = draw(st.integers(0, len(line)))
+    k = draw(st.integers(j, len(line)))
+    alphabet = st.sampled_from(list('0123456789.eE+-,:[]()<=>#"_ \tLCdmyAxz') + ["\u0663"])
+    insert = draw(st.text(alphabet, max_size=4))
+    return line[:j] + insert + line[k if draw(st.booleans()) else j :]
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(line=mutated_line())
+@example(line="merge Aexclusive")
+@example(line="treats C -> A effect 0.5eL 0C")
+@example(line="leadsto A -> B likelihood 1.5.3")
+@example(line="leadsto A -> B likelihood -0")
+@example(line="\t  scenario S")
+@example(line="threat T#comment")
+@example(line="initiate T -> A frequency 1:" + "9" * 4400 + "y")
+def test_a_line_the_pattern_reads_is_read_alike_by_the_walker(line):
+    fast = dsl._match(line)
+    try:
+        walked = dsl._walk(line, 1)
+    except DslError:
+        walked = None
+    if fast is not None:
+        assert _same(fast, walked)
+
+
+def test_walker_reads_only_lines_the_pattern_rejects(ehealth_text, monkeypatch):
+    walked = []
+
+    class CountingLineParser(dsl._LineParser):
+        def __init__(self, text, line_no):
+            walked.append(line_no)
+            super().__init__(text, line_no)
+
+    monkeypatch.setattr(dsl, "_LineParser", CountingLineParser)
+    assert parse(ehealth_text) is not None
+    assert walked == []
+    # -0 is no number the pattern reads, but the walker reads it.
+    text = HEADER + "threat T\nscenario A\nincident R consequence 1\n"
+    text += "initiate T -> A frequency 1:1y\nleadsto A -> R likelihood -0\n"
+    assert repr(parse(text).leadsto[0].likelihood.lo) == "-0.0"
+    assert walked == [6]
+
+
+def test_an_indented_statement_is_reported_at_its_first_token():
+    with pytest.raises(DslSemanticError) as exc:
+        parse(HEADER + THREAT_TO_R + "\t   scenario T  # again\n")
+    assert exc.value.span == SourceSpan(5, 5)
+    with pytest.raises(DslSemanticError) as exc:
+        parse(HEADER + THREAT_TO_R + "  leadsto R -> T likelihood -0.5\n")
+    assert exc.value.span == SourceSpan(5, 29)
+
+
+JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.sampled_from([-0.0, 1e16, math.inf, -math.inf, math.nan])
+    | st.text()
+)
+JSON_DOCS = st.recursive(
+    JSON_LEAVES,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(doc=JSON_DOCS)
+@example(doc={})
+@example(doc=[])
+@example(doc={"": [], "a": {}, "b": [{}, []]})
+@example(doc=["caf\xe9 \u2028 \x00\x1f\"\\", -0.0, 1e16, math.inf, -math.inf, math.nan])
+def test_indented_json_is_what_json_dumps_writes(doc):
+    assert dsl._indented_json(doc) == json.dumps(doc, indent=2)

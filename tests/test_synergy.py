@@ -185,3 +185,9 @@ print(repr(overall_cost(model, frozenset(c.id for c in model.countermeasures))))
         )
         reprs.add(out.stdout.strip())
     assert len(reprs) == 1
+
+
+def test_nan_budget_is_rejected_and_a_negative_one_is_over_budget(ehealth):
+    with pytest.raises(SynergyError, match="budget must be a number, not nan"):
+        recommend(ehealth, budget=float("nan"))
+    assert recommend(ehealth, budget=-1.0).outcome == "over_budget"
