@@ -12,7 +12,7 @@ from .model import (
     RiskModel,
     TreatsRel,
     Vertex,
-    is_known_valid,
+    known_diagnostics,
     mark_valid,
     topological_order,
     validate,
@@ -104,14 +104,15 @@ def combine_incoming(
 
 
 def _check_valid(model: RiskModel):
-    if is_known_valid(model):
+    if known_diagnostics(model) is not None:
         return
-    errors = [d for d in validate(model) if d.is_error]
+    diagnostics = validate(model)
+    errors = [d for d in diagnostics if d.is_error]
     if errors:
         raise CalculusError(
             "cannot propagate over an invalid model: " + "; ".join(d.message for d in errors)
         )
-    mark_valid(model)
+    mark_valid(model, diagnostics)
 
 
 def evaluation_plan(model: RiskModel) -> list[tuple[Vertex, list, list, list]]:

@@ -50,7 +50,8 @@ class SourceSpan:
 
 
 class DslError(Exception):
-    def __init__(self, message: str, span: Optional[SourceSpan] = None):
+    # span: a SourceSpan in the text, or the path of a JSON entry such as "vertices[3]"
+    def __init__(self, message: str, span: Union[SourceSpan, str, None] = None):
         self.span = span
         if span is not None:
             message = f"{span}: {message}"
@@ -521,23 +522,33 @@ def parse(text: str, coras: bool = False) -> RiskModel:
 
     if header is None:
         raise DslSemanticError("missing 'riskmodel' header line", SourceSpan(1, 1))
-    collections: dict[str, list] = {name: [] for name in _COLLECTIONS}
-    spans: dict[int, tuple[int, int]] = {}  # id(record) -> its statement's span
-    for record, values, span in statements:
+    for record, values, _ in statements:
         if record is Vertex and values["id"] in merges:
             values["merge_policy"] = merges.pop(values["id"])[0]
-        r = record(**values)
-        collections[_COLLECTION_OF[record]].append(r)
-        spans[id(r)] = span
     if merges:  # for an id that no vertex declares
         vid, (_, span) = next(iter(merges.items()))
         raise DslSemanticError(f"merge policy for undeclared vertex {vid!r}", SourceSpan(*span))
+    return _assemble(header, statements, coras)
+
+
+def _assemble(header: dict, statements: list[tuple], coras: bool) -> RiskModel:
+    """The one build of a model from loaded (record type, values, location)
+    statements: validated once, canonical, and marked valid with its
+    diagnostics. Its errors raise one DslSemanticError at the first one's record."""
+    collections: dict[str, list] = {name: [] for name in _COLLECTIONS}
+    locations = {}  # id(record) -> (line, column) in DSL text, or a JSON entry's path
+    for record, values, where in statements:
+        r = record(**values)
+        collections[_COLLECTION_OF[record]].append(r)
+        locations[id(r)] = where
     model = RiskModel(**header, **{name: tuple(rs) for name, rs in collections.items()})
-    errors = [d for d in validate(model, coras=coras) if d.is_error]
+    diagnostics = validate(model, coras=coras)
+    errors = [d for d in diagnostics if d.is_error]
     if errors:
-        span = spans.get(id(errors[0].subject), (1, 1))
-        raise DslSemanticError("; ".join(d.message for d in errors), SourceSpan(*span))
-    return mark_valid(canonical(model))
+        where = locations.get(id(errors[0].subject))  # none for the model's name
+        span = SourceSpan(*where) if isinstance(where, tuple) else where
+        raise DslSemanticError("; ".join(d.message for d in errors), span)
+    return mark_valid(canonical(model), diagnostics)
 
 
 def serialize(model: RiskModel) -> str:
@@ -585,7 +596,26 @@ def _text_from_json(obj, key: str) -> str:
 def _period_from_json(obj, key: str) -> Period:
     if not isinstance(obj, str) or not re.fullmatch(r"\d+[dmy]", obj):
         raise DslSemanticError(f"bad {key}: expected a period like '10y'")
-    return Period(int(obj[:-1]), obj[-1])
+    try:
+        return Period(int(obj[:-1]), obj[-1])
+    except ValueError as e:  # a zero magnitude, too many digits or days
+        raise DslSemanticError(f"bad {key}: {e}") from None
+
+
+def _reject_unknown_key(obj: dict, known, where: Optional[str] = None, what: str = ""):
+    for key in obj:
+        if key not in known:
+            raise DslSemanticError(f"{what}unknown key {key!r}", where)
+
+
+def _object_from_json(obj, key: str, known: dict) -> dict:
+    """A nested object, whose keys must be the known ones."""
+    if not isinstance(obj, dict):
+        raise DslSemanticError(f"bad {key}: expected an object")
+    if obj.keys() != known.keys():
+        _reject_unknown_key(obj, known, what=f"bad {key}: ")
+        raise DslSemanticError(f"malformed model JSON: {next(k for k in known if k not in obj)!r}")
+    return obj
 
 
 def _freq_to_json(f: Frequency) -> dict:
@@ -593,11 +623,8 @@ def _freq_to_json(f: Frequency) -> dict:
 
 
 def _freq_from_json(obj, key: str) -> Frequency:
-    if not isinstance(obj, dict):
-        raise DslSemanticError(f"bad {key}: expected an object")
-    return Frequency(
-        _value_from_json(obj.get("value"), key), _period_from_json(obj.get("per"), key)
-    )
+    obj = _object_from_json(obj, key, _OBJECT_KEYS["frequency"])
+    return Frequency(_value_from_json(obj["value"], key), _period_from_json(obj["per"], key))
 
 
 # (encode, decode) per field type; an Optional field uses the codec of its type.
@@ -620,12 +647,18 @@ _JSON_KEYS = {
     "max_risk_cost": "max_risk_cost.value",
     "max_risk_cost_per": "max_risk_cost.per",
 }
+# The keys of each nested object, in order: a frequency and the "a.b" objects.
+_OBJECT_KEYS = {"frequency": dict.fromkeys(("value", "per"))}  # as _freq_to_json writes them
+for _outer, _, _inner in (key.partition(".") for key in _JSON_KEYS.values()):
+    if _inner:
+        _OBJECT_KEYS.setdefault(_outer, {})[_inner] = None
 
 
-def _layout(record: type) -> tuple[type, list[tuple]]:
-    """The record type and (field, key, outer key, inner key or None, encode,
-    decode, optional) per field. A key is optional when its field defaults to
-    None, a text or a policy, and an "a.b" object when its fields are."""
+def _layout(record: type) -> tuple[type, list[tuple], set[str]]:
+    """The record type, (field, key, outer key, inner key or None, encode,
+    decode, optional) per field, and its outer keys. A key is optional when its
+    field defaults to None, a text or a policy, and an "a.b" object when its
+    fields are."""
     types = _field_types(record)
     layout = []
     for f in fields(record):
@@ -634,7 +667,7 @@ def _layout(record: type) -> tuple[type, list[tuple]]:
         outer, _, inner = key.partition(".")
         optional = f.default is None or isinstance(f.default, (str, enum.Enum))
         layout.append((f.name, key, outer, inner or None, *_CODECS[kind], optional))
-    return record, layout
+    return record, layout, {field[2] for field in layout}
 
 
 # Each collection is a tuple[Record, ...] field of RiskModel, in document order.
@@ -643,12 +676,13 @@ _COLLECTIONS = {
     for name, hint in get_type_hints(RiskModel).items()
     if get_origin(hint) is tuple
 }
-_COLLECTION_OF = {record: name for name, (record, _) in _COLLECTIONS.items()}
+_COLLECTION_OF = {record: name for name, (record, *_) in _COLLECTIONS.items()}
+_DOCUMENT_KEYS = {"schema", "name", "base_period", *_COLLECTIONS}
 
 
 def _record_to_json(record, layout: list[tuple]) -> dict:
     obj: dict = {}
-    for name, _, outer, inner, encode, _, _ in layout:
+    for name, _, outer, inner, encode, *_ in layout:
         value = getattr(record, name)
         value = None if value is None else encode(value)
         if inner is None:
@@ -659,29 +693,40 @@ def _record_to_json(record, layout: list[tuple]) -> dict:
     return obj
 
 
-def _records_from_json(entries, collection: str) -> tuple:
-    if not isinstance(entries, list):
-        raise DslSemanticError(f"bad {collection}: expected a list")
-    record, layout = _COLLECTIONS[collection]
-    records = []
-    for obj in entries:
-        if not isinstance(obj, dict):
-            raise DslSemanticError(f"bad {collection} entry: expected an object")
-        values = {}
-        for name, key, outer, inner, _, decode, optional in layout:
-            value = obj.get(outer) if optional else obj[outer]
-            if value is None and optional:  # missing or null: the field keeps its default
-                continue
-            if inner is not None:
-                if not isinstance(value, dict):
-                    raise DslSemanticError(f"bad {outer}: expected an object")
-                value = value[inner]
-            try:
-                values[name] = decode(value, key)
-            except ValueError as e:
-                raise DslSemanticError(f"bad {key}: {e}") from None
-        records.append(record(**values))
-    return tuple(records)
+def _records_from_json(doc: dict) -> list[tuple]:
+    """A (record type, values, location) statement per entry of the document,
+    located by the entry's path, such as vertices[3]."""
+    statements = []
+    for collection, (record, layout, known) in _COLLECTIONS.items():
+        entries = doc.get(collection, [])
+        if not isinstance(entries, list):
+            raise DslSemanticError(f"bad {collection}: expected a list")
+        for i, obj in enumerate(entries):
+            where = f"{collection}[{i}]"
+            if not isinstance(obj, dict):
+                raise DslSemanticError("expected an object", where)
+            values = {}
+            for name, key, outer, inner, _, decode, optional in layout:
+                if outer not in obj:
+                    _reject_unknown_key(obj, known, where)  # misspelt rather than left out
+                    if optional:  # the field keeps its default
+                        continue
+                    raise DslSemanticError(f"malformed model JSON: {outer!r}", where)
+                value = obj[outer]
+                if value is None and optional:  # null, as if left out
+                    continue
+                try:
+                    if inner is not None:
+                        value = _object_from_json(value, outer, _OBJECT_KEYS[outer])[inner]
+                    values[name] = decode(value, key)
+                except DslSemanticError as e:
+                    raise DslSemanticError(e.args[0], where) from None
+                except (ValueError, OverflowError) as e:
+                    raise DslSemanticError(f"bad {key}: {e}", where) from None
+            if len(obj) > len(known):  # no known key is left out
+                _reject_unknown_key(obj, known, where)
+            statements.append((record, values, where))
+    return statements
 
 
 def _indented_json(obj, indent: str = "\n") -> str:
@@ -725,13 +770,14 @@ def to_json(model: RiskModel) -> str:
     Intervals are written as a number or [lo, hi], periods as text like "10y".
     """
     doc = dict(schema=JSON_SCHEMA_VERSION, name=model.name, base_period=str(model.base_period))
-    for collection, (_, layout) in _COLLECTIONS.items():
+    for collection, (_, layout, _) in _COLLECTIONS.items():
         doc[collection] = [_record_to_json(r, layout) for r in getattr(model, collection)]
     return _indented_json(doc) + "\n"
 
 
 def from_json(text: str, coras: bool = False) -> RiskModel:
-    """Parse the JSON mirror back into a validated RiskModel."""
+    """Parse the JSON mirror back into a validated RiskModel. An error in an
+    entry names the entry by its path, such as vertices[3]."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -740,22 +786,13 @@ def from_json(text: str, coras: bool = False) -> RiskModel:
         raise DslSyntaxError(f"invalid JSON: {e}") from None
     if not isinstance(doc, dict):
         raise DslSemanticError("top-level JSON value must be an object")
-    if doc.get("schema") != JSON_SCHEMA_VERSION:
+    schema = doc.get("schema")
+    if type(schema) is not int or schema != JSON_SCHEMA_VERSION:  # not True, nor 1.0
         raise DslSemanticError(
-            f"unsupported schema version {doc.get('schema')!r}; "
+            f"unsupported schema version {schema!r}; "
             f"this reader understands version {JSON_SCHEMA_VERSION}"
         )
-
-    try:
-        model = RiskModel(
-            name=_text_from_json(doc.get("name", ""), "name"),
-            base_period=_period_from_json(doc.get("base_period"), "base_period"),
-            **{c: _records_from_json(doc.get(c, []), c) for c in _COLLECTIONS},
-        )
-    except (KeyError, ValueError, OverflowError) as e:
-        raise DslSemanticError(f"malformed model JSON: {e}") from None
-
-    errors = [d for d in validate(model, coras=coras) if d.is_error]
-    if errors:
-        raise DslSemanticError("; ".join(d.message for d in errors))
-    return mark_valid(canonical(model))
+    _reject_unknown_key(doc, _DOCUMENT_KEYS)
+    name = _text_from_json(doc.get("name", ""), "name")
+    base_period = _period_from_json(doc.get("base_period"), "base_period")
+    return _assemble(dict(name=name, base_period=base_period), _records_from_json(doc), coras)

@@ -447,19 +447,21 @@ def validate(model: RiskModel, coras: bool = False) -> list[Diagnostic]:
     return diags
 
 
-def mark_valid(model: RiskModel) -> RiskModel:
-    """Remember on the model that ``validate`` found no errors.
+def mark_valid(model: RiskModel, diagnostics: Iterable[Diagnostic] = ()) -> RiskModel:
+    """Remember on the model that ``validate`` found no errors, and keep the
+    diagnostics (warnings) it gave.
 
     Models are immutable, so the verdict holds for the object's lifetime;
     ``dataclasses.replace`` yields a new, unmarked model. A pass in CORAS mode
     implies a pass without it, so the mark means "valid outside CORAS mode".
     """
-    object.__setattr__(model, "_valid", True)
+    object.__setattr__(model, "_diagnostics", tuple(diagnostics))
     return model
 
 
-def is_known_valid(model: RiskModel) -> bool:
-    return getattr(model, "_valid", False)
+def known_diagnostics(model: RiskModel) -> Optional[tuple[Diagnostic, ...]]:
+    """The diagnostics ``mark_valid`` kept, or None for a model not known valid."""
+    return getattr(model, "_diagnostics", None)
 
 
 def normalize(model: RiskModel, target: Period) -> RiskModel:

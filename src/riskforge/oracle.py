@@ -24,7 +24,7 @@ from .model import (
     TreatsRel,
     Vertex,
     VertexKind,
-    is_known_valid,
+    known_diagnostics,
     mark_valid,
     validate,
 )
@@ -127,11 +127,12 @@ def empirical_consequence(history: History, event_class: str, cs: Alternative) -
 
 
 def _check_point_model(model: RiskModel):
-    if not is_known_valid(model):
-        errors = [d for d in validate(model) if d.is_error]
+    if known_diagnostics(model) is None:
+        diagnostics = validate(model)
+        errors = [d for d in diagnostics if d.is_error]
         if errors:
             raise OracleError("invalid model: " + "; ".join(d.message for d in errors))
-        mark_valid(model)
+        mark_valid(model, diagnostics)
     if not model.is_point_valued():
         raise OracleError("the history sampler runs on point-valued models only")
     for v in model.core_vertices:

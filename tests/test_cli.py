@@ -319,6 +319,47 @@ FIXTURE_LINES = [path.read_text().splitlines() for path in sorted(FIXTURES.glob(
 EHEALTH = (FIXTURES / "ehealth.riskdsl").read_text()
 
 
+def _model_file(directory: Path, text: str, suffix: str) -> str:
+    """The DSL text, or its JSON export, in a file."""
+    path = directory / f"model{suffix}"
+    path.write_text(text if suffix == ".riskdsl" else to_json(parse(text)))
+    return str(path)
+
+
+@pytest.mark.parametrize("suffix", [".riskdsl", ".json"])
+@pytest.mark.parametrize("command", EVERY_COMMAND, ids=lambda c: " ".join(a for a in c if a != "FILE"))
+def test_every_command_validates_once(command, suffix, tmp_path, monkeypatch, capsys):
+    path = _model_file(tmp_path, RULE_FILE if "simulate" in command else EHEALTH, suffix)
+    calls = []
+    validate = riskforge.model.validate
+    for name, module in list(sys.modules.items()):  # dsl, calculus and oracle call it
+        if name.startswith("riskforge") and getattr(module, "validate", None) is validate:
+            monkeypatch.setattr(module, "validate", lambda *a, **k: calls.append(1) or validate(*a, **k))
+    assert run([path if arg == "FILE" else arg for arg in command]) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("suffix", [".riskdsl", ".json"])
+def test_validate_prints_the_warnings_of_the_load(suffix, tmp_path, capsys):
+    hot = RULE_FILE.replace("likelihood 0.8", "likelihood 1.5")
+    path = _model_file(tmp_path, hot, suffix)
+    assert run(["validate", path]) == 0
+    assert capsys.readouterr().err == "warning: leadsto A->B likelihood exceeds 1\n"
+
+
+@pytest.mark.parametrize("suffix", [".riskdsl", ".json"])
+@pytest.mark.parametrize("command", [["validate"], ["export", "--to", "dsl"], ["synergy"]])
+def test_a_byte_order_mark_is_read_past(command, suffix, tmp_path, capsys):
+    path = Path(_model_file(tmp_path, EHEALTH, suffix))
+    with_mark = tmp_path / f"marked{suffix}"
+    with_mark.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    results = []
+    for file in (path, with_mark):
+        results.append((run([command[0], str(file), *command[1:]]), capsys.readouterr()))
+    assert results[0] == results[1]
+    assert results[0][0] == 0
+
+
 @st.composite
 def mutated_fixture(draw) -> bytes:
     """A fixture with text inserted into, or cut out of, one of its lines."""

@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from riskforge import (
     DslSyntaxError,
     Interval,
     Period,
+    RiskModel,
     from_json,
     parse,
     serialize,
@@ -22,6 +24,7 @@ from riskforge import (
 from riskforge import dsl
 from riskforge.cli import run
 from riskforge.dsl import SourceSpan, canonical
+from riskforge.model import Countermeasure, known_diagnostics, validate
 
 from genmodels import random_model
 
@@ -116,9 +119,59 @@ def test_json_roundtrip_random_models():
         assert from_json(to_json(m)) == canonical(m)
 
 
-def test_json_schema_gate(ehealth):
+def test_both_loaders_keep_the_same_model_and_diagnostics():
+    rng = np.random.default_rng(11)
+    warned = 0
+    for _ in range(50):
+        m = random_model(rng, interval=bool(rng.random() < 0.5), allow_overlapping=True)
+        from_dsl, from_doc = parse(serialize(m)), from_json(to_json(m))
+        assert from_dsl == from_doc == m
+        assert known_diagnostics(from_dsl) == known_diagnostics(from_doc) == tuple(validate(m))
+        warned += bool(known_diagnostics(from_dsl))
+    assert warned  # some models carry a warning
+
+
+def _broken(m, fault: str):
+    """The model with one record broken, and that record's collection."""
+    if fault == "duplicate-id":  # a countermeasure named like a vertex
+        record = Countermeasure(m.vertices[-1].id, expenditure=1.0)
+        return replace(m, countermeasures=(*m.countermeasures, record)), "countermeasures", record
+    t = m.treats[-1]
+    record = replace(t, freq_effect=Interval.point(1.5))
+    return replace(m, treats=(*m.treats[:-1], record)), "treats", record
+
+
+@pytest.mark.parametrize("fault", ["duplicate-id", "effect-range"])
+def test_both_loaders_name_the_broken_record(fault):
+    rng = np.random.default_rng(13)
+    checked = 0
+    while checked < 20:
+        m = random_model(rng, interval=bool(rng.random() < 0.5))
+        if not m.treats:
+            continue
+        broken, collection, record = _broken(m, fault)
+        broken = canonical(broken)  # serialize and to_json write one order
+        text = serialize(broken)
+        statement = serialize(RiskModel("m", m.base_period, **{collection: (record,)}))
+        with pytest.raises(DslSemanticError) as from_dsl:
+            parse(text)
+        line = text.splitlines().index(statement.splitlines()[-1]) + 1
+        assert str(from_dsl.value).startswith(f"{line}:")
+        with pytest.raises(DslSemanticError) as from_doc:
+            from_json(to_json(broken))
+        where = f"{collection}[{getattr(broken, collection).index(record)}]"
+        assert from_doc.value.span == where
+        # the same message, at the same record
+        assert str(from_doc.value).removeprefix(where) == str(from_dsl.value).removeprefix(
+            str(from_dsl.value.span)
+        )
+        checked += 1
+
+
+@pytest.mark.parametrize("schema", [99, True, 1.0, "1"])
+def test_json_schema_gate(ehealth, schema):
     doc = json.loads(to_json(ehealth))
-    doc["schema"] = 99
+    doc["schema"] = schema
     with pytest.raises(DslSemanticError, match="schema version"):
         from_json(json.dumps(doc))
 
@@ -320,6 +373,44 @@ def test_json_optional_keys_may_be_left_out():
     shorter = json.dumps(doc)
     assert len(shorter) < len(json.dumps(FULL_DOC))
     assert from_json(shorter) == from_json(json.dumps(FULL_DOC))
+
+
+# A misspelt key is an error, not a default: one per collection, one per
+# nested object and one in the document.
+RENAMED_KEYS = [
+    (("vertices", 2, "merge"), "merge_policy", "vertices[2]: unknown key 'merge_policy'"),
+    (("initiates", 1, "via"), "vias", "initiates[1]: unknown key 'vias'"),
+    (("leadsto", 0, "likelihood"), "likelyhood", "leadsto[0]: unknown key 'likelyhood'"),
+    (("impacts", 0, "target"), "asset", "impacts[0]: unknown key 'asset'"),
+    (("countermeasures", 1, "cost"), "expenditure", "countermeasures[1]: unknown key 'expenditure'"),
+    (("treats", 2, "cons_effect"), "cons_efect", "treats[2]: unknown key 'cons_efect'"),
+    (("depends", 0, "freq_dep"), "freq_effect", "depends[0]: unknown key 'freq_effect'"),
+    (("criteria", 0, "max_frequency"), "max_freq", "criteria[0]: unknown key 'max_freq'"),
+    (("initiates", 0, "frequency", "per"), "period", "initiates[0]: bad frequency: unknown key 'period'"),
+    (("depends", 0, "treats", "target"), "vertex", "depends[0]: bad treats: unknown key 'vertex'"),
+    (
+        ("criteria", 0, "max_risk_cost", "value"),
+        "amount",
+        "criteria[0]: bad max_risk_cost: unknown key 'amount'",
+    ),
+    (("base_period",), "timeunit", "unknown key 'timeunit'"),
+]
+
+
+@pytest.mark.parametrize("path,name,message", RENAMED_KEYS, ids=[k[1] for k in RENAMED_KEYS])
+def test_json_unknown_key_is_an_error(path, name, message):
+    doc = copy.deepcopy(FULL_DOC)
+    holder = doc
+    for key in path[:-1]:
+        holder = holder[key]
+    holder[name] = holder.pop(path[-1])
+    with pytest.raises(DslSemanticError) as exc:
+        from_json(json.dumps(doc))
+    assert str(exc.value) == message
+    holder[path[-1]] = holder[name]  # the key itself, and an unknown one besides
+    with pytest.raises(DslSemanticError) as exc:
+        from_json(json.dumps(doc))
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize(
