@@ -66,119 +66,101 @@ class DslSemanticError(DslError):
     pass
 
 
-# Token fragments, shared by the tokenizer and the line patterns.
-_NUMBER = r"\d+(?:\.\d+)?(?:[eE][+-]?\d+)?"  # unsigned; the tokenizer also reads a sign
+# Token fragments, shared by the line patterns and the explainer.
+_NUMBER = r"-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?"  # signed: a decoder rejects a negative value
 _IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
 _STRING_BODY = r'[^"\n]*'
 _COMMENT = r"\#.*"
 _WS = r"\s*"  # between two tokens
-# Maximal munch: a line pattern reads no token that the tokenizer would read
+# Maximal munch: a line pattern reads no token that the explainer would read
 # longer, so it cannot split one (`Aexclusive`, `0.5eL`, `1.5.3`).
 _IDENT_END = r"(?![A-Za-z0-9_])"
 _NUMBER_END = r"(?!\d|\.\d|[eE][+-]?\d)"
-
-_TOKEN_RE = re.compile(
-    rf"""
-    (?P<ws>\s+)
-  | (?P<comment>{_COMMENT})
-  | (?P<string>"{_STRING_BODY}")
-  | (?P<number>-?{_NUMBER})
-  | (?P<ident>{_IDENT})
-  | (?P<arrow>->)
-  | (?P<le><=)
-  | (?P<punct>[\[\],:()])
-  | (?P<bad>.)
-    """,
-    re.VERBOSE,
-)
+_TOKEN = rf'"{_STRING_BODY}"|{_NUMBER}|{_IDENT}|->|<=|[\[\],:()]'
+_TOKENS_RE = re.compile(rf"(?:\s+|{_TOKEN})*")
 
 
-class _Token(NamedTuple):
-    kind: str
-    text: str
-    line: int
-    column: int
-
-    @property
-    def span(self) -> SourceSpan:
-        return SourceSpan(self.line, self.column)
+def _must_be_member(what: str, kind: type[enum.Enum]) -> str:
+    """The message for a value of a field that names no member of kind."""
+    *first, last = [m.value for m in kind]
+    return f"{what} must be {', '.join(first)} or {last}"
 
 
-class _LineParser:
-    """Tokenizes one line and reads the values of its statement. It checks only
-    what it needs to build them; every other rule is ``validate``'s."""
+class _Explainer:
+    """Re-reads a line that the line pattern rejects, one token at a time, and
+    raises the diagnostic of its first fault. It checks what the line pattern
+    and the decoders check, and builds no values; every other rule is
+    ``validate``'s."""
 
-    def __init__(self, text: str, line_no: int):
-        tokens: list[_Token] = []
-        for m in _TOKEN_RE.finditer(text):
-            kind = m.lastgroup
-            if kind == "comment":
-                break
-            if kind != "ws":
-                tokens.append(_Token(kind, m.group(), line_no, m.start() + 1))
-                if kind == "bad":
-                    raise DslSyntaxError(f"unexpected character {m.group()!r}", tokens[-1].span)
-        tokens.append(_Token("end", "", line_no, max(1, len(text))))  # marks the end of the line
-        self.tokens = tokens
-        self.i = 0
+    def __init__(self, raw: str, line_no: int):
+        self.raw, self.line_no, self.pos = raw, line_no, 0
+        self.end = _TOKENS_RE.match(raw).end()  # where a comment starts, or the line ends
+        if self.end < len(raw) and raw[self.end] != "#":
+            bad = raw[self.end]
+            raise DslSyntaxError(f"unexpected character {bad!r}", SourceSpan(line_no, self.end + 1))
 
-    def take(self, kind: str, what: str, text: Optional[str] = None) -> _Token:
-        tok = self.tokens[self.i]
-        if tok.kind != kind or (text is not None and tok.text != text):
-            raise DslSyntaxError(f"expected {what}", tok.span)
-        self.i += 1
-        return tok
+    def peek(self, token: str) -> re.Match:
+        """Group 1 is the next token if it matches token; the match ends where it starts."""
+        return re.compile(rf"\s*({token})?").match(self.raw, self.pos)
 
-    def ident(self, what: str) -> str:
-        return self.take("ident", f"{what} id").text
+    def span(self, m: re.Match) -> SourceSpan:
+        """Of the token peek matched, else of the next one, or of the end past the last."""
+        pos = m.end() if m[1] is None else m.start(1)
+        return SourceSpan(self.line_no, pos + 1 if pos < self.end else max(1, len(self.raw)))
 
-    def string(self, what: str) -> str:
-        return self.take("string", f"{what} string").text[1:-1]
+    def take(self, token: str, what: str) -> re.Match:
+        m = self.peek(token)
+        if m[1] is None:
+            raise DslSyntaxError(f"expected {what}", self.span(m))
+        self.pos = m.end()
+        return m
+
+    def ident(self, what: str):
+        self.take(_IDENT, f"{what} id")
+
+    def string(self, what: str):
+        self.take(f'"{_STRING_BODY}"', f"{what} string")
 
     def number(self, what: str, expected: Optional[str] = None) -> float:
-        tok = self.take("number", expected or what)
-        x = float(tok.text)
-        if x < 0:  # as in the JSON reader
-            raise DslSemanticError(f"{what} must be >= 0", tok.span)
-        return x
+        m = self.take(_NUMBER, expected or what)
+        if float(m[1]) < 0:  # as in the JSON reader
+            raise DslSemanticError(f"{what} must be >= 0", self.span(m))
+        return float(m[1])
 
-    def value(self, what: str) -> Interval:
-        tok = self.tokens[self.i]
-        if tok.text != "[":
-            return Interval.point(self.number(what))
-        self.i += 1
+    def value(self, what: str):
+        bracket = self.peek(r"\[")
+        if bracket[1] is None:
+            self.number(what)
+            return
+        self.pos = bracket.end()
         lo = self.number(what, "interval lower bound")
-        self.take("punct", "','", ",")
+        self.take(",", "','")
         hi = self.number(what, "interval upper bound")
-        self.take("punct", "']'", "]")
+        self.take(r"\]", "']'")
         if lo > hi:
-            raise DslSemanticError(f"empty interval [{lo:g},{hi:g}]", tok.span)
-        return Interval(lo, hi)
+            raise DslSemanticError(f"empty interval [{lo:g},{hi:g}]", self.span(bracket))
 
-    def period(self, what: str) -> Period:
-        magnitude = self.take("number", "period magnitude")
-        if not magnitude.text.isdigit() or not any(map(int, magnitude.text)):  # no nonzero digit
-            raise DslSyntaxError("period magnitude must be a positive integer", magnitude.span)
-        unit = self.take("ident", "period unit d, m or y")
-        if unit.text not in ("d", "m", "y"):
-            raise DslSyntaxError("period unit must be d, m or y", unit.span)
+    def period(self, what: str):
+        number = self.take(_NUMBER, "period magnitude")
+        if not number[1].isdigit() or not any(map(int, number[1])):  # no nonzero digit
+            raise DslSyntaxError("period magnitude must be a positive integer", self.span(number))
+        unit = self.take(_IDENT, "period unit d, m or y")
+        if unit[1] not in ("d", "m", "y"):
+            raise DslSyntaxError("period unit must be d, m or y", self.span(unit))
         try:
-            return Period(int(magnitude.text), unit.text)
+            Period(int(number[1]), unit[1])
         except ValueError:  # more digits than int() reads, or more days than a float holds
-            raise DslSyntaxError("period magnitude is too large", magnitude.span) from None
+            raise DslSyntaxError("period magnitude is too large", self.span(number)) from None
 
-    def frequency(self, what: str) -> Frequency:
-        occurrences = self.value(what)
-        self.take("punct", "':'", ":")
-        return Frequency(occurrences, self.period(what))
+    def frequency(self, what: str):
+        self.value(what)
+        self.take(":", "':'")
+        self.period(what)
 
-    def member(self, what: str, kind: type[enum.Enum]) -> enum.Enum:
-        tok = self.take("ident", what)
-        try:
-            return kind(tok.text)
-        except ValueError:
-            *first, last = [m.value for m in kind]
-            raise DslSyntaxError(f"{what} must be {', '.join(first)} or {last}", tok.span) from None
+    def member(self, what: str, kind: type[enum.Enum]):
+        m = self.take(_IDENT, what)
+        if m[1] not in {member.value for member in kind}:
+            raise DslSyntaxError(_must_be_member(what, kind), self.span(m))
 
 
 def canonical(model: RiskModel) -> RiskModel:
@@ -230,10 +212,18 @@ def _field_types(record: type) -> dict[str, type]:
     return types
 
 
+def _number(text: str) -> float:
+    x = float(text)
+    if x < 0:  # -0 is -0.0, which is not below 0
+        raise ValueError(f"negative number {text}")
+    return x
+
+
 def _value_from_groups(point: Optional[str], lo: Optional[str], hi: Optional[str]) -> Interval:
     if point is not None:
-        return Interval.point(float(point))
-    return Interval(float(lo), float(hi))  # ValueError when lo > hi
+        x = _number(point)
+        return Interval(x, x)  # not Interval.point, a call more per number read
+    return Interval(_number(lo), _number(hi))  # ValueError when lo > hi
 
 
 def _period_from_groups(magnitude: str, unit: str) -> Period:
@@ -245,23 +235,19 @@ def _freq_from_groups(point, lo, hi, magnitude, unit) -> Frequency:
 
 
 class _Codec(NamedTuple):
-    """How the DSL writes a field type and reads it, token by token and by pattern."""
+    """How the DSL writes a field type, reads it by pattern, and explains a value it cannot read."""
 
     write: Callable  # value -> text
-    read: Callable  # (_LineParser, what) -> value
+    check: Callable  # (_Explainer, what) -> None; raises what is wrong with the next value
     pattern: str  # the text of a value; its groups are the arguments of decode
-    decode: Callable  # groups -> value; a ValueError leaves the line to the walker
-
-    @property
-    def groups(self) -> int:
-        return re.compile(self.pattern).groups
+    decode: Callable  # groups -> value; a ValueError leaves the line to the explainer
 
 
 def _member_codec(kind: type[enum.Enum]) -> _Codec:
     members = {m.value: m for m in kind}
     return _Codec(
         attrgetter("value"),
-        partial(_LineParser.member, kind=kind),
+        partial(_Explainer.member, kind=kind),
         f"({'|'.join(map(re.escape, members))}){_IDENT_END}",
         members.__getitem__,
     )
@@ -273,17 +259,17 @@ _PERIOD = rf"(\d+){_NUMBER_END}\s*([dmy]){_IDENT_END}"
 
 # Per field type, as _CODECS is for JSON. A quoted field is a string.
 _DSL_CODECS: dict[type, _Codec] = {
-    str: _Codec(str, _LineParser.ident, rf"({_IDENT}){_IDENT_END}", str),
-    float: _Codec(_fmt_num, _LineParser.number, _NUM, float),
-    Interval: _Codec(_fmt_value, _LineParser.value, _VALUE, _value_from_groups),
+    str: _Codec(str, _Explainer.ident, rf"({_IDENT}){_IDENT_END}", str),
+    float: _Codec(_fmt_num, _Explainer.number, _NUM, _number),
+    Interval: _Codec(_fmt_value, _Explainer.value, _VALUE, _value_from_groups),
     Frequency: _Codec(
-        _fmt_freq, _LineParser.frequency, rf"{_VALUE}\s*:\s*{_PERIOD}", _freq_from_groups
+        _fmt_freq, _Explainer.frequency, rf"{_VALUE}\s*:\s*{_PERIOD}", _freq_from_groups
     ),
-    Period: _Codec(str, _LineParser.period, _PERIOD, _period_from_groups),
+    Period: _Codec(str, _Explainer.period, _PERIOD, _period_from_groups),
     VertexKind: _member_codec(VertexKind),
     MergePolicy: _member_codec(MergePolicy),
 }
-_QUOTED = _Codec('"{}"'.format, _LineParser.string, f'"({_STRING_BODY})"', str)
+_QUOTED = _Codec('"{}"'.format, _Explainer.string, f'"({_STRING_BODY})"', str)
 
 # A piece's pattern(steps, n, guard) returns its pattern, whose groups are
 # numbered from n + 1, and the number of its last group. Per field it appends
@@ -294,18 +280,17 @@ _QUOTED = _Codec('"{}"'.format, _LineParser.string, f'"({_STRING_BODY})"', str)
 
 class _Literal(NamedTuple):
     text: str  # as written
-    tokens: tuple[_Token, ...]  # as read
+    tokens: tuple[tuple[str, str], ...]  # (text, pattern) per token, as read
 
     def write(self, record) -> str:
         return self.text
 
-    def read(self, p: _LineParser, values: dict):
-        for tok in self.tokens:
-            p.take(tok.kind, repr(tok.text), tok.text)
+    def check(self, e: _Explainer):
+        for text, token in self.tokens:
+            e.take(token, repr(text))
 
     def pattern(self, steps: list, n: int, guard: Optional[int]) -> tuple[str, int]:
-        end = {"ident": _IDENT_END}
-        return "".join(_WS + re.escape(t.text) + end.get(t.kind, "") for t in self.tokens), n
+        return "".join(_WS + token for _, token in self.tokens), n
 
 
 class _Field(NamedTuple):
@@ -316,36 +301,33 @@ class _Field(NamedTuple):
     def write(self, record) -> str:
         return self.codec.write(getattr(record, self.name))
 
-    def read(self, p: _LineParser, values: dict):
-        values[self.name] = self.codec.read(p, self.what)
+    def check(self, e: _Explainer):
+        self.codec.check(e, self.what)
 
     def pattern(self, steps: list, n: int, guard: Optional[int]) -> tuple[str, int]:
-        end = n + self.codec.groups
+        end = n + re.compile(self.codec.pattern).groups
         steps.append((self.name, self.codec.decode, n, end, guard))
         return _WS + self.codec.pattern, end
 
 
 class _Group(NamedTuple):
     """A template, or an optional part of one, which starts with a literal or a
-    quoted field: that part is written when its field is set and read when its
-    first token's (kind, text) is next; a text of None matches any."""
+    quoted field: that part is written when its field is set and read when the
+    next token matches first, the pattern of its first token."""
 
     pieces: tuple
     name: Optional[str] = None
-    first: Optional[tuple[str, Optional[str]]] = None
+    first: Optional[str] = None
 
     def write(self, record) -> str:
         if self.name is not None and getattr(record, self.name) in (None, ""):
             return ""
         return "".join([piece.write(record) for piece in self.pieces])
 
-    def read(self, p: _LineParser, values: dict) -> dict:
-        tok = p.tokens[p.i]
-        kind, text = self.first or (tok.kind, None)
-        if tok.kind == kind and text in (None, tok.text):
+    def check(self, e: _Explainer):
+        if self.first is None or e.peek(self.first)[1] is not None:
             for piece in self.pieces:
-                piece.read(p, values)
-        return values
+                piece.check(e)
 
     def pattern(self, steps: list, n: int, guard: Optional[int] = None) -> tuple[str, int]:
         optional = self.name is not None
@@ -373,7 +355,7 @@ def _statement(record: type, template: str) -> tuple[type, _Group]:
         elif closing:
             pieces = tuple(groups.pop())
             lead = next(q for q in pieces if not isinstance(q, _Literal) or q.tokens)
-            first = lead.tokens[0][:2] if isinstance(lead, _Literal) else ("string", None)
+            first = lead.tokens[0][1] if isinstance(lead, _Literal) else lead.codec.pattern
             name = next(q.name for q in pieces if isinstance(q, _Field))
             groups[-1].append(_Group(pieces, name, first))
         elif name:
@@ -381,7 +363,9 @@ def _statement(record: type, template: str) -> tuple[type, _Group]:
             what = record.__name__.lower() if name == "id" else name.replace("_", " ")
             groups[-1].append(_Field(name, what, codec))
         else:
-            groups[-1].append(_Literal(text, tuple(_LineParser(text, 0).tokens[:-1])))
+            words = re.findall(rf"{_IDENT}|->|<=|\S", text)
+            tokens = ((w, re.escape(w) + (_IDENT_END if w.isidentifier() else "")) for w in words)
+            groups[-1].append(_Literal(text, tuple(tokens)))
     return record, _Group(tuple(groups[0]))
 
 
@@ -429,7 +413,7 @@ def _line_pattern() -> tuple[re.Pattern, dict[int, tuple[str, tuple]]]:
     for key, (_, template) in _STATEMENTS.items():
         steps: list = []
         body, end = template.pattern(steps, n + 1)
-        # The walker picks a statement by its first word, which may be a field.
+        # The explainer picks a statement by its first word, which may be a field.
         word = rf"(?={re.escape(key.split()[0])}{_IDENT_END})"
         alternatives.append(f"({word}{body.removeprefix(_WS)})")
         statements[n + 1] = (key, tuple(steps))
@@ -442,7 +426,7 @@ _LINE_RE, _LINE_STATEMENTS = _line_pattern()
 
 def _match(raw: str) -> Optional[tuple]:
     """(key, values, column of the first token) of a line the line pattern
-    reads, () for a blank line and None for a line left to _walk."""
+    reads, () for a blank line and None for a line left to _explain."""
     m = _LINE_RE.fullmatch(raw)
     if m is None:
         return None
@@ -457,36 +441,34 @@ def _match(raw: str) -> Optional[tuple]:
             for name, decode, i, j, guard in steps
             if guard is None or groups[guard] is not None
         }
-    except ValueError:  # a value that cannot be built: _walk says why
+    except ValueError:  # a value that cannot be built: _explain says why
         return None
     return key, values, m.start(k) + 1
 
 
-def _walk(raw: str, line_no: int) -> tuple:
-    """(key, values, column of the first token) of a line read token by token,
-    () for a blank line. Raises the diagnostic of a malformed line."""
-    p = _LineParser(raw, line_no)
-    head = p.tokens[0]
-    if head.kind == "end":
-        return ()
-    key = head.text
+def _explain(raw: str, line_no: int) -> None:
+    """Raises the diagnostic of a line that the line pattern rejects."""
+    e = _Explainer(raw, line_no)
+    head = e.peek(_TOKEN)  # there is one: the line pattern reads a line without a token
+    key = head[1]
     if key == "accept":  # the word after the risk picks one of two statements
-        word = p.tokens[min(2, len(p.tokens) - 1)]
-        key += f" {word.text}"
+        word = re.match(rf"\s*(?:{_TOKEN})\s*(?:{_TOKEN})?\s*({_TOKEN})?", raw)
+        key += f" {word[1] or ''}"
         if key not in _STATEMENTS:
-            raise DslSyntaxError("expected 'frequency' or 'cost'", word.span)
+            raise DslSyntaxError("expected 'frequency' or 'cost'", e.span(word))
     elif key not in _STATEMENTS:
-        raise DslSyntaxError(f"unknown statement {key!r}", head.span)
-    values = _STATEMENTS[key][1].read(p, {})
-    p.take("end", "end of line")
-    return key, values, head.column
+        raise DslSyntaxError(f"unknown statement {key!r}", e.span(head))
+    _STATEMENTS[key][1].check(e)
+    rest = e.peek(_TOKEN)
+    if rest[1] is not None:
+        raise DslSyntaxError("expected end of line", e.span(rest))
 
 
 def parse(text: str, coras: bool = False) -> RiskModel:
     """Parse DSL text into a validated RiskModel.
 
     Each line is read by the line pattern compiled from _GRAMMAR; a line it
-    rejects is read token by token, which raises the diagnostic. Errors are
+    rejects is re-read token by token only to raise its diagnostic. Errors are
     DslSyntaxError or DslSemanticError, each carrying a SourceSpan; a
     ``validate`` error points at the statement of the record at fault. With
     coras=True, likelihoods above 1 are rejected.
@@ -499,7 +481,7 @@ def parse(text: str, coras: bool = False) -> RiskModel:
     for line_no, raw in enumerate(text.splitlines(), start=1):
         statement = _match(raw)
         if statement is None:
-            statement = _walk(raw, line_no)
+            _explain(raw, line_no)
         if not statement:
             continue
         key, values, column = statement
@@ -511,7 +493,10 @@ def parse(text: str, coras: bool = False) -> RiskModel:
             header = values
             continue
         if key == "merge":
-            merges[values["id"]] = (values["merge_policy"], span)
+            vid = values["id"]
+            if vid in merges:
+                raise DslSemanticError(f"duplicate merge policy for {vid!r}", SourceSpan(*span))
+            merges[vid] = (values["merge_policy"], span)
             continue
         if record is AcceptanceCriterion:
             first = criteria.setdefault(values["risk"], values)
@@ -618,6 +603,13 @@ def _object_from_json(obj, key: str, known: dict) -> dict:
     return obj
 
 
+def _member_from_json(kind: type[enum.Enum], obj, key: str) -> enum.Enum:
+    try:
+        return kind(obj)  # a ValueError for any other value, of any type
+    except ValueError:
+        raise DslSemanticError(_must_be_member(key, kind)) from None
+
+
 def _freq_to_json(f: Frequency) -> dict:
     return {"value": _value_to_json(f.occurrences), "per": str(f.per)}
 
@@ -634,8 +626,8 @@ _CODECS: dict[type, tuple[Callable, Callable]] = {
     Interval: (_value_to_json, _value_from_json),
     Frequency: (_freq_to_json, _freq_from_json),
     Period: (str, _period_from_json),
-    VertexKind: (attrgetter("value"), lambda obj, key: VertexKind(obj)),
-    MergePolicy: (attrgetter("value"), lambda obj, key: MergePolicy(obj)),
+    VertexKind: (attrgetter("value"), partial(_member_from_json, VertexKind)),
+    MergePolicy: (attrgetter("value"), partial(_member_from_json, MergePolicy)),
 }
 
 # The JSON keys that differ from their field's name; "a.b" is key b of object a.

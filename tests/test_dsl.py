@@ -305,6 +305,11 @@ def _with(doc: dict, path: tuple, value) -> dict:
 
 # One value of each JSON type: integers, booleans, strings, null, lists and objects.
 OTHER_TYPES = [0, 7, -3, True, False, "", "x", "12", None, [], [1, 2], {}, {"value": 1}]
+# What the JSON reader says of a value that names no member, as the DSL says it.
+NO_MEMBER = {
+    "kind": "kind must be threat, scenario, incident or asset",
+    "merge": "merge must be separate, exclusive or overlapping",
+}
 
 
 @settings(max_examples=50, deadline=None, database=None)
@@ -312,12 +317,19 @@ OTHER_TYPES = [0, 7, -3, True, False, "", "x", "12", None, [], [1, 2], {}, {"val
 @example(path=("vertices", 0, "id"), value=5)
 @example(path=("countermeasures", 0, "cost"), value=True)
 @example(path=("countermeasures", 0, "cost"), value="12")
+@example(path=("vertices", 0, "kind"), value={})
+@example(path=("vertices", 1, "kind"), value="x")
+@example(path=("vertices", 2, "merge"), value={})
+@example(path=("vertices", 3, "merge"), value=[1, 2])
+@example(path=("vertices", 4, "merge"), value=1)
 def test_json_value_of_another_type_is_a_model_error(path, value, tmp_path_factory):
     text = json.dumps(_with(FULL_DOC, path, value))
     try:
         model = from_json(text)
-    except DslError:
+    except DslError as e:
         model = None
+        if path[-1] in NO_MEMBER:
+            assert str(e) == f"{path[0]}[{path[1]}]: {NO_MEMBER[path[-1]]}"
     else:
         assert parse(serialize(model)) == model  # the DSL can write every JSON model
     file = tmp_path_factory.mktemp("json") / "model.json"
@@ -474,6 +486,12 @@ THREAT_TO_R = "threat T\nincident R consequence 1\ninitiate T -> R frequency 1:1
         (HEADER + "merge X exclusive\n" + THREAT_TO_R, False, 2, "undeclared vertex 'X'"),
         (HEADER + THREAT_TO_R + "scenario T\n", False, 5, "duplicate id 'T'"),
         (
+            HEADER + THREAT_TO_R + "merge R exclusive\nmerge R overlapping\n",
+            False,
+            6,
+            "duplicate merge policy for 'R'",
+        ),
+        (
             HEADER + "threat T\nscenario A\nscenario B\nincident R consequence 1\n"
             "initiate T -> A frequency 1:1y\nleadsto A -> B likelihood 0.5\n"
             "leadsto B -> A likelihood 0.5\nleadsto B -> R likelihood 0.5\n",
@@ -495,6 +513,7 @@ THREAT_TO_R = "threat T\nincident R consequence 1\ninitiate T -> R frequency 1:1
         "effect-range",
         "undeclared-merge",
         "duplicate-id",
+        "duplicate-merge",
         "cycle",
         "coras-likelihood",
     ],
@@ -548,19 +567,39 @@ def _well_formed_lines() -> list[str]:
 WELL_FORMED = _well_formed_lines()
 
 
-def _same(fast, walked) -> bool:
-    # repr tells -0.0 from 0.0, which == does not
-    return fast == walked and repr(fast) == repr(walked)
-
-
 def test_line_pattern_reads_every_well_formed_line():
     keys = set()
     for line in WELL_FORMED:
-        fast = dsl._match(line)
-        assert fast is not None, line
-        assert _same(fast, dsl._walk(line, 1)), line
-        keys.update(fast[:1])
+        statement = dsl._match(line)
+        assert statement is not None, line
+        if statement:
+            dsl._explain(line, 1)  # which finds no fault in it either
+        keys.update(statement[:1])
     assert keys == set(dsl._STATEMENTS)
+
+
+def _outcome(line: str) -> list:
+    """The line with what the reader makes of it: "read" and the repr of its
+    statement, or the error class and message, span included."""
+    statement = dsl._match(line)
+    if statement is not None:
+        return [line, "read", repr(statement)]  # repr tells -0.0 from 0.0, which == does not
+    try:
+        dsl._explain(line, 1)
+    except DslError as e:
+        return [line, type(e).__name__, str(e)]
+    return [line, "no diagnostic", ""]
+
+
+def test_every_line_of_the_golden_corpus_reads_as_recorded():
+    """The corpus holds each line's outcome under the token walker that the
+    explainer replaced: the well-formed lines, systematic mutations of a few
+    lines per statement, and seeded random mutations (CHANGES.md says how it
+    was made)."""
+    path = Path(__file__).parent / "golden" / "dsl_lines.jsonl"
+    with path.open(encoding="utf-8") as corpus:
+        for record in map(json.loads, corpus):
+            assert _outcome(record[0]) == record
 
 
 @st.composite
@@ -583,32 +622,29 @@ def mutated_line(draw) -> str:
 @example(line="\t  scenario S")
 @example(line="threat T#comment")
 @example(line="initiate T -> A frequency 1:" + "9" * 4400 + "y")
-def test_a_line_the_pattern_reads_is_read_alike_by_the_walker(line):
-    fast = dsl._match(line)
-    try:
-        walked = dsl._walk(line, 1)
-    except DslError:
-        walked = None
-    if fast is not None:
-        assert _same(fast, walked)
+def test_a_mutated_line_is_read_or_explained(line):
+    statement = dsl._match(line)
+    if statement is None:
+        with pytest.raises(DslError):  # nothing else, and never nothing
+            dsl._explain(line, 1)
+    elif statement:
+        dsl._explain(line, 1)  # which finds no fault in a line the pattern reads
 
 
-def test_walker_reads_only_lines_the_pattern_rejects(ehealth_text, monkeypatch):
-    walked = []
-
-    class CountingLineParser(dsl._LineParser):
-        def __init__(self, text, line_no):
-            walked.append(line_no)
-            super().__init__(text, line_no)
-
-    monkeypatch.setattr(dsl, "_LineParser", CountingLineParser)
+def test_explainer_runs_only_on_lines_the_pattern_rejects(ehealth_text, monkeypatch):
+    explained = []
+    explain = dsl._explain
+    monkeypatch.setattr(dsl, "_explain", lambda raw, n: explained.append(n) or explain(raw, n))
     assert parse(ehealth_text) is not None
-    assert walked == []
-    # -0 is no number the pattern reads, but the walker reads it.
+    # The line pattern reads -0 as -0.0.
     text = HEADER + "threat T\nscenario A\nincident R consequence 1\n"
     text += "initiate T -> A frequency 1:1y\nleadsto A -> R likelihood -0\n"
     assert repr(parse(text).leadsto[0].likelihood.lo) == "-0.0"
-    assert walked == [6]
+    assert explained == []
+    with pytest.raises(DslSemanticError) as exc:
+        parse(text.replace("-0", "-0.5"))
+    assert str(exc.value) == "6:27: likelihood must be >= 0"
+    assert explained == [6]
 
 
 def test_an_indented_statement_is_reported_at_its_first_token():
