@@ -60,6 +60,7 @@ from .oracle import (
 )
 from .synergy import (
     GlobalAlternative,
+    Ranking,
     Recommendation,
     acceptable,
     export_ranking_csv,

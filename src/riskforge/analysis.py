@@ -92,9 +92,9 @@ def enumerate_states(
 def build_decision_diagram(states: list[RiskState]) -> DecisionDiagram:
     """Connect states differing by one added countermeasure; drop states worse
     than the untreated state on both axes (interval midpoints)."""
-    if not states:
-        raise AnalysisError("no states to build a diagram from")
-    initial = next(s for s in states if not s.alternative)
+    initial = next((s for s in states if not s.alternative), None)
+    if initial is None:
+        raise AnalysisError("no untreated state among the states")
     kept, pruned = [], []
     for s in states:
         if (

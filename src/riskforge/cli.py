@@ -131,9 +131,8 @@ def _cmd_analyze(args) -> int:
 def _cmd_synergy(args) -> int:
     model = _load(args)
     rec = synergy.recommend(model, budget=args.budget, pessimistic=args.pessimistic)
-    ranked = rec.ranking
     if args.format == "csv":
-        sys.stdout.write(synergy.export_ranking_csv(ranked))
+        sys.stdout.write(synergy.export_ranking_csv(rec.ranking))
     else:
         doc = {
             "outcome": rec.outcome,
@@ -144,13 +143,7 @@ def _cmd_synergy(args) -> int:
                 "countermeasures": sorted(rec.best.countermeasures),
                 "overall_cost": rec.best.overall_cost,
             },
-            "ranking": [
-                {
-                    "countermeasures": sorted(g.countermeasures),
-                    "overall_cost": g.overall_cost,
-                }
-                for g in ranked
-            ],
+            "ranking": None,  # written from the ranking's arrays below
             "report": [
                 {
                     "risk": g.risk,
@@ -162,11 +155,26 @@ def _cmd_synergy(args) -> int:
                 for g in rec.report
             ],
         }
-        print(dsl._indented_json(doc))
+        # What dsl._indented_json(doc) writes, one top-level value at a time.
+        texts = {key: dsl._indented_json(value, "\n  ") for key, value in doc.items()}
+        texts["ranking"] = _ranking_json(rec.ranking)
+        print("{" + ",".join(f'\n  "{key}": {text}' for key, text in texts.items()) + "\n}")
     if rec.outcome != "recommended":
         print(f"outcome: {rec.outcome}", file=sys.stderr)
         return EXIT_INFEASIBLE
     return EXIT_OK
+
+
+def _ranking_json(ranking) -> str:
+    """The ranking's JSON at the indent of a top-level value, one format per entry."""
+    if not ranking:
+        return "[]"
+    # A valid model's ids are ASCII identifiers, which JSON quotes as they are.
+    ids = ranking.compiled.joined(ranking.masks, ',\n        "{}"'.format)
+    costs = map(float.__repr__, ranking.costs.tolist())  # finite, as recommend checks
+    entry = '\n    {{\n      "countermeasures": {},\n      "overall_cost": {}\n    }}'
+    entries = (entry.format(f"[{t[1:]}\n      ]" if t else "[]", c) for t, c in zip(ids, costs))
+    return "[" + ",".join(entries) + "\n  ]"
 
 
 def _cmd_simulate(args) -> int:

@@ -24,7 +24,7 @@ bounds memory at any n up to the enumeration cap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -79,12 +79,9 @@ class CompiledModel:
             countermeasures = sorted(c.id for c in model.countermeasures)
         self.countermeasures = tuple(countermeasures)
         bit = {c: i for i, c in enumerate(self.countermeasures)}
-        # subset() joins the sets of the low and the high half of a mask.
+        # subset() and joined() join a value of the low and one of the high half of a mask.
         self._half = len(self.countermeasures) // 2
-        self._low, self._high = (
-            [frozenset(c for i, c in enumerate(part) if m >> i & 1) for m in range(1 << len(part))]
-            for part in (self.countermeasures[: self._half], self.countermeasures[self._half :])
-        )
+        self._low, self._high = self._by_half(frozenset)
         base = model.base_period
         self.expenditures = tuple(
             model.countermeasure(c).expenditure_per(base) for c in self.countermeasures
@@ -156,6 +153,19 @@ class CompiledModel:
     def subset(self, mask: int) -> frozenset:
         """The countermeasure ids selected by a mask."""
         return self._low[mask & ((1 << self._half) - 1)] | self._high[mask >> self._half]
+
+    def joined(self, masks: np.ndarray, text: Callable[[str], str]) -> list[str]:
+        """Per mask, ``text`` of each selected id, concatenated in bit order."""
+        low, high = self._by_half(lambda ids: "".join(map(text, ids)))
+        halves = zip((masks & ((1 << self._half) - 1)).tolist(), (masks >> self._half).tolist())
+        return [low[a] + high[b] for a, b in halves]
+
+    def _by_half(self, build: Callable[[list[str]], Any]) -> tuple[list, list]:
+        """``build`` of the selected ids of every mask of the low and of the high half."""
+        return tuple(
+            [build([c for i, c in enumerate(part) if m >> i & 1]) for m in range(1 << len(part))]
+            for part in (self.countermeasures[: self._half], self.countermeasures[self._half :])
+        )
 
     def expenditure(self, masks: np.ndarray) -> np.ndarray:
         """Summed expenditure per mask, added in countermeasure-id order."""

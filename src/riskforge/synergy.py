@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping, Optional
@@ -49,7 +50,8 @@ class Recommendation:
     best: Optional[GlobalAlternative] = None
     budget: Optional[float] = None
     report: tuple[RiskGap, ...] = ()
-    ranking: tuple[GlobalAlternative, ...] = field(default=(), repr=False)
+    # read-only, built lazily: a Ranking, or () when no alternative is acceptable
+    ranking: Sequence[GlobalAlternative] = field(default=(), repr=False)
 
 
 def risk_cost(state: RiskState, pessimistic: bool = False) -> float:
@@ -122,7 +124,7 @@ def _verdicts(
 
 def find_alternatives(
     model: RiskModel, cap: int = DEFAULT_SUBSET_CAP, pessimistic: bool = False
-) -> list[GlobalAlternative]:
+) -> Ranking:
     """Exhaustively rank the acceptable global alternatives by overall cost.
 
     Ties break on smaller set size, then lexicographic countermeasure ids.
@@ -130,9 +132,31 @@ def find_alternatives(
     return _search(model, cap, pessimistic)[0]
 
 
-def _search(
-    model: RiskModel, cap: int, pessimistic: bool
-) -> tuple[list[GlobalAlternative], tuple[RiskGap, ...]]:
+class Ranking(Sequence):
+    """Ranked alternatives kept as arrays: ``masks`` and ``costs`` in rank
+    order, and the GlobalAlternative of rank i built only when it is read."""
+
+    def __init__(self, compiled: CompiledModel, risks: list, masks, costs, values):
+        self.compiled, self.risks, self.masks, self.costs = compiled, risks, masks, costs
+        self._values = values  # (4 endpoints per risk, rank)
+
+    def __len__(self) -> int:
+        return len(self.masks)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(*i.indices(len(self))))
+        i = range(len(self))[i]  # negative indices count from the end, as a tuple's
+        ca = self.compiled.subset(int(self.masks[i]))
+        values = iter(self._values[:, i].tolist())
+        states = {
+            risk: RiskState(risk, ca, Interval(f_lo, f_hi), Interval(c_lo, c_hi))
+            for risk, f_lo, f_hi, c_lo, c_hi in zip(self.risks, *[values] * 4)
+        }
+        return GlobalAlternative(ca, states, float(self.costs[i]))
+
+
+def _search(model: RiskModel, cap: int, pessimistic: bool) -> tuple[Ranking, tuple[RiskGap, ...]]:
     """One pass over every subset: the ranking of the acceptable alternatives
     and, per risk, the best residual any subset reaches (the gap report)."""
     n = len(model.countermeasures)
@@ -140,56 +164,55 @@ def _search(
         raise SynergyError(f"{n} countermeasures exceed the enumeration cap of {cap}")
     risks = [v.id for v in model.incidents]
     compiled = CompiledModel(model, outputs=risks)
-    ranked = []
+    kept: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # masks, costs, values
     best: dict[str, tuple[float, float]] = {}
-    for masks, columns in compiled.chunks():
-        cost = 0.0
-        feasible = np.ones(len(masks), dtype=bool)
-        for risk in risks:
-            f_lo, f_hi, c_lo, c_hi = columns[risk]
-            if pessimistic:
-                freq, r_cost = f_hi, f_hi * c_hi
-            else:
-                freq = 0.5 * (f_lo + f_hi)
-                r_cost = freq * (0.5 * (c_lo + c_hi))
-            cost = cost + r_cost
-            max_f, max_c = compiled.bounds.get(risk, (None, None))
-            if max_f is not None:
-                feasible &= freq <= max_f
-            if max_c is not None:
-                feasible &= r_cost <= max_c
-            # argmin returns the first of equal minima (0.0 before -0.0 or the
-            # reverse), as a running min() over the subsets in mask order does.
-            chunk_best = (float(freq[freq.argmin()]), float(r_cost[r_cost.argmin()]))
-            if risk in best:
-                chunk_best = tuple(map(min, best[risk], chunk_best))
-            best[risk] = chunk_best
-        cost = cost + compiled.expenditure(masks)
-        ranked += _alternatives(compiled, masks, columns, cost, risks, np.flatnonzero(feasible))
-    ranked.sort(
-        key=lambda g: (g.overall_cost, len(g.countermeasures), tuple(sorted(g.countermeasures)))
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are raised below
+        for masks, columns in compiled.chunks():
+            cost = 0.0
+            feasible = np.ones(len(masks), dtype=bool)
+            for risk in risks:
+                f_lo, f_hi, c_lo, c_hi = columns[risk]
+                if pessimistic:
+                    freq, r_cost = f_hi, f_hi * c_hi
+                else:
+                    freq = 0.5 * (f_lo + f_hi)
+                    r_cost = freq * (0.5 * (c_lo + c_hi))
+                if not np.isfinite(r_cost).all():  # inf or nan too when the frequency is
+                    raise SynergyError(f"risk {risk!r}: residual risk cost is not a finite number")
+                cost = cost + r_cost
+                max_f, max_c = compiled.bounds.get(risk, (None, None))
+                if max_f is not None:
+                    feasible &= freq <= max_f
+                if max_c is not None:
+                    feasible &= r_cost <= max_c
+                # argmin returns the first of equal minima (0.0 before -0.0 or the
+                # reverse), as a running min() over the subsets in mask order does.
+                chunk_best = (float(freq[freq.argmin()]), float(r_cost[r_cost.argmin()]))
+                if risk in best:
+                    chunk_best = tuple(map(min, best[risk], chunk_best))
+                best[risk] = chunk_best
+            cost = cost + compiled.expenditure(masks)
+            if not np.isfinite(cost).all():
+                raise SynergyError("overall cost is not a finite number")
+            keep = np.flatnonzero(feasible)
+            values = [c[keep] for risk in risks for c in columns[risk]]
+            values = np.reshape(values, (4 * len(risks), len(keep)))  # also with no risk
+            kept.append((masks[keep], cost[keep], values))
+    masks, costs, values = (np.concatenate(part, axis=-1) for part in zip(*kept))
+    # Bit i is the i-th sorted id, so among sets of one size, the one holding
+    # the lowest differing bit, which has the larger bit-reversed mask, sorts
+    # first by tuple(sorted(ids)).
+    size, reversed_mask = np.zeros_like(masks), np.zeros_like(masks)
+    for i in range(n):
+        bit = masks >> i & 1
+        size += bit
+        reversed_mask |= bit << (n - 1 - i)
+    order = np.lexsort((-reversed_mask, size, costs))
     report = tuple(
         RiskGap(risk, *best[risk], *compiled.bounds.get(risk, (None, None)))
         for risk in sorted(best)
     )
-    return ranked, report
-
-
-def _alternatives(compiled, masks, columns, cost, risks, keep) -> list[GlobalAlternative]:
-    """GlobalAlternatives for the kept columns, read out once per column array."""
-    values = {risk: [c[keep].tolist() for c in columns[risk]] for risk in risks}
-    alternatives = []
-    for j, (mask, total) in enumerate(zip(masks[keep].tolist(), cost[keep].tolist())):
-        ca = compiled.subset(mask)
-        states = {}
-        for risk in risks:
-            f_lo, f_hi, c_lo, c_hi = values[risk]
-            states[risk] = RiskState(
-                risk, ca, Interval(f_lo[j], f_hi[j]), Interval(c_lo[j], c_hi[j])
-            )
-        alternatives.append(GlobalAlternative(ca, states, total))
-    return alternatives
+    return Ranking(compiled, risks, masks[order], costs[order], values[:, order]), report
 
 
 def recommend(
@@ -204,19 +227,25 @@ def recommend(
     """
     if budget is not None and math.isnan(budget):  # no cost compares with NaN
         raise SynergyError("budget must be a number, not nan")
-    ranked, report = _search(model, cap, pessimistic)
-    if not ranked:
+    ranking, report = _search(model, cap, pessimistic)
+    if not ranking:
         return Recommendation("no_feasible", report=report)
-    best, ranking = ranked[0], tuple(ranked)
+    best = ranking[0]
     if budget is not None and best.overall_cost > budget:
         return Recommendation("over_budget", best=best, budget=budget, ranking=ranking)
     return Recommendation("recommended", best=best, ranking=ranking)
 
 
-def export_ranking_csv(ranked: list[GlobalAlternative]) -> str:
-    """CSV ranking: rank,alternative,overall_cost,acceptable."""
+def export_ranking_csv(ranked: Sequence[GlobalAlternative]) -> str:
+    """CSV ranking: rank,alternative,overall_cost,acceptable. A Ranking is
+    written from its arrays."""
+    if isinstance(ranked, Ranking):
+        alternatives = [a[1:] for a in ranked.compiled.joined(ranked.masks, "+".__add__)]
+        costs = ranked.costs.tolist()
+    else:
+        alternatives = ["+".join(sorted(g.countermeasures)) for g in ranked]
+        costs = [g.overall_cost for g in ranked]
     lines = ["rank,alternative,overall_cost,acceptable"]
-    for i, g in enumerate(ranked, start=1):
-        alt = "+".join(sorted(g.countermeasures))
-        lines.append(f"{i},{alt},{g.overall_cost:g},true")
+    for i, (alt, cost) in enumerate(zip(alternatives, costs), start=1):
+        lines.append(f"{i},{alt},{cost:g},true")
     return "\n".join(lines) + "\n"

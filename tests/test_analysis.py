@@ -123,6 +123,13 @@ def test_decision_diagram_single_state(ehealth):
     assert diagram.edges == ()
 
 
+def test_decision_diagram_needs_the_untreated_state(ehealth):
+    states = enumerate_states(ehealth, "LMD")
+    for subset in ([], states[1:]):
+        with pytest.raises(AnalysisError, match="^no untreated state among the states$"):
+            build_decision_diagram(subset)
+
+
 def test_no_pruning_with_unit_effects():
     rng = np.random.default_rng(23)
     for _ in range(20):

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -8,13 +9,16 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import riskforge
-from riskforge import oracle, parse, to_json
+from riskforge import oracle, parse, serialize, to_json
 from riskforge.cli import run
+
+from genmodels import random_model
 
 RULE_FILE = """\
 riskmodel "rule" timeunit 1y
@@ -433,3 +437,53 @@ def test_deep_chain_validates_and_propagates(tmp_path, capsys):
             err.strip()
         ]
         assert "cycle: S0,S1," in err
+
+
+GOLDEN_SYNERGY = Path(__file__).parent / "golden" / "synergy_cli.jsonl"
+SYNERGY_FLAGS = [
+    [*output, *pessimistic, *budget]
+    for output in (["--format", "json"], ["--format", "csv"])
+    for pessimistic in ([], ["--pessimistic"])
+    for budget in ([], ["--budget", "5000"])
+]
+
+
+def _synergy_models() -> list[tuple[str, str]]:
+    """(name, DSL text) of the three fixtures and 40 random models."""
+    models = [(path.name, path.read_text()) for path in sorted(FIXTURES.glob("*.riskdsl"))]
+    for seed in range(40):
+        model = random_model(
+            np.random.default_rng(1000 + seed),
+            interval=seed % 2 == 1,
+            max_cms=7 if seed % 4 == 0 else 5,
+            allow_overlapping=seed % 3 == 0,
+            exclusive=seed % 5 == 0,
+        )
+        models.append((f"random-{seed}", serialize(model)))
+    return models
+
+
+def _synergy_digests(name: str, text: str, directory: Path) -> list[list]:
+    """[flags, sha256 of the JSON list (exit code, stdout, stderr)] per flag set."""
+    path = directory / name
+    path.write_text(text)
+    digests = []
+    for flags in SYNERGY_FLAGS:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(["synergy", str(path), *flags])
+        outcome = json.dumps([code, out.getvalue(), err.getvalue()])
+        digests.append([flags, hashlib.sha256(outcome.encode()).hexdigest()])
+    return digests
+
+
+def test_synergy_output_matches_the_golden_digests(tmp_path):
+    """Each record holds a model's text and the digests of what ``synergy``
+    wrote for it under each flag set, recorded before the ranking was kept in
+    arrays (CHANGES.md says how the file was made)."""
+    with GOLDEN_SYNERGY.open(encoding="utf-8") as golden:
+        records = [json.loads(line) for line in golden]
+    assert [r["model"] for r in records] == [name for name, _ in _synergy_models()]
+    for record in records:
+        digests = _synergy_digests(record["model"], record["text"], tmp_path)
+        assert digests == record["digests"], record["model"]
