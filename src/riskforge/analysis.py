@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
-import io
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from itertools import chain, islice
+
+import numpy as np
 
 from .calculus import Alternative, _check_valid, evaluation_plan
-from .engine import DEFAULT_SUBSET_CAP, CompiledModel
+from .engine import DEFAULT_SUBSET_CAP, ArraySequence, CompiledModel, joined
 from .intervals import Interval
 from .model import RiskModel, VertexKind
 
@@ -32,12 +35,79 @@ class RiskState:
     index: int = 0
 
 
+class States(ArraySequence):
+    """Risk states kept as arrays, the RiskState of entry i built only when it
+    is read: ``ids`` the sorted countermeasure ids, and per state its
+    ``indices``, its ``masks`` (bit i for ids[i]) and its residual ``values``,
+    one row each for freq lo, freq hi, cons lo and cons hi."""
+
+    def __init__(self, risk: str, ids: tuple[str, ...], indices, masks, values):
+        self.risk, self.ids, self.indices, self.masks = risk, ids, indices, masks
+        self.values = values
+
+    @classmethod
+    def of(cls, states: Iterable[RiskState]) -> States:
+        """A plain list of one risk's states read into arrays; a States as it is."""
+        if isinstance(states, States):
+            return states
+        states = list(states)
+        if len({s.risk for s in states}) > 1:
+            raise AnalysisError("states of more than one risk")
+        ids = tuple(sorted(frozenset().union(*(s.alternative for s in states))))
+        bit = {c: 1 << i for i, c in enumerate(ids)}
+        masks = [sum(bit[c] for c in s.alternative) for s in states]
+        pairs = [(i.lo, i.hi) for s in states for i in (s.frequency, s.consequence)]
+        values = np.array(pairs, dtype=float).reshape(-1, 4).T
+        indices, masks = (np.array(x, dtype=np.int64) for x in ([s.index for s in states], masks))
+        return cls(states[0].risk if states else "", ids, indices, masks, values)
+
+    def __len__(self) -> int:
+        return len(self.masks)
+
+    def _entry(self, i: int) -> RiskState:
+        f_lo, f_hi, c_lo, c_hi = self.values[:, i].tolist()
+        alternative = frozenset(c for b, c in enumerate(self.ids) if self.masks[i] >> b & 1)
+        frequency, consequence = Interval(f_lo, f_hi), Interval(c_lo, c_hi)
+        return RiskState(self.risk, alternative, frequency, consequence, int(self.indices[i]))
+
+    def take(self, which: np.ndarray) -> States:
+        """The states that a boolean array selects."""
+        columns = (x[..., which] for x in (self.indices, self.masks, self.values))
+        return States(self.risk, self.ids, *columns)
+
+    def texts(self, number: str = "%g", pair: str = "[%s,%s]") -> list[list[str]]:
+        """Per state, the text of its frequency and of its consequence: ``number``
+        of lo where lo == hi, else ``pair`` of both numbers; by default Interval.__str__."""
+        lo, hi = self.values[0::2].ravel().tolist(), self.values[1::2].ravel().tolist()
+        texts = [number % a if a == b else pair % (number % a, number % b) for a, b in zip(lo, hi)]
+        return [texts[: len(self)], texts[len(self) :]]
+
+
+class Edges(ArraySequence):
+    """(from index, to index, added countermeasure) per edge, kept as arrays."""
+
+    def __init__(self, ids: tuple[str, ...], sources, targets, bits):
+        self.ids, self.sources, self.targets, self.bits = ids, sources, targets, bits
+
+    def __len__(self) -> int:
+        return len(self.sources)
+
+    def __iter__(self):
+        for start in range(0, len(self), 2048):  # a block at a time bounds the lists made
+            part = slice(start, start + 2048)
+            names = map(self.ids.__getitem__, self.bits[part].tolist())
+            yield from zip(self.sources[part].tolist(), self.targets[part].tolist(), names)
+
+    def _entry(self, i: int) -> tuple[int, int, str]:
+        return int(self.sources[i]), int(self.targets[i]), self.ids[self.bits[i]]
+
+
 @dataclass(frozen=True)
 class DecisionDiagram:
-    states: tuple[RiskState, ...]
-    edges: tuple[tuple[int, int, str], ...]  # (from index, to index, added countermeasure)
+    states: Sequence[RiskState]  # a States when built by build_decision_diagram
+    edges: Sequence[tuple[int, int, str]]  # (from index, to index, added countermeasure)
     initial: RiskState
-    pruned: tuple[RiskState, ...] = ()
+    pruned: Sequence[RiskState] = ()
 
 
 def applicable_countermeasures(model: RiskModel, risk: str) -> set[str]:
@@ -58,14 +128,10 @@ def applicable_countermeasures(model: RiskModel, risk: str) -> set[str]:
     return cms
 
 
-def enumerate_states(
-    model: RiskModel, risk: str, cap: int = DEFAULT_SUBSET_CAP
-) -> list[RiskState]:
-    """All 2^n risk states for the risk's applicable countermeasures.
-
-    Subsets are visited in binary-counter order over the sorted countermeasure
-    ids, so the output order is deterministic.
-    """
+def enumerate_states(model: RiskModel, risk: str, cap: int = DEFAULT_SUBSET_CAP) -> States:
+    """All 2^n risk states for the risk's applicable countermeasures, as a
+    read-only States sequence in mask order: state i has mask i and index i,
+    and bit b of a mask selects the b-th sorted countermeasure id."""
     cms = sorted(applicable_countermeasures(model, risk))
     if len(cms) > cap:
         raise AnalysisError(
@@ -73,75 +139,59 @@ def enumerate_states(
             f"filter the model down per risk before enumerating"
         )
     compiled = CompiledModel(model, cms, outputs=[risk])
-    states = []
-    for masks, columns in compiled.chunks():
-        rows = zip(masks.tolist(), *(c.tolist() for c in columns[risk]))
-        for mask, f_lo, f_hi, c_lo, c_hi in rows:
-            states.append(
-                RiskState(
-                    risk,
-                    compiled.subset(mask),
-                    Interval(f_lo, f_hi),
-                    Interval(c_lo, c_hi),
-                    index=mask,
-                )
-            )
-    return states
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are raised below
+        values = np.concatenate([np.array(c[risk]) for _, c in compiled.chunks()], axis=1)
+    if not np.isfinite(values[:2]).all():  # a consequence only shrinks
+        raise AnalysisError(f"risk {risk!r}: residual frequency is not a finite number")
+    masks = np.arange(len(values[0]))  # chunks() walks every mask in order
+    return States(risk, tuple(cms), masks, masks, values)
 
 
-def build_decision_diagram(states: list[RiskState]) -> DecisionDiagram:
+def build_decision_diagram(states: Iterable[RiskState]) -> DecisionDiagram:
     """Connect states differing by one added countermeasure; drop states worse
-    than the untreated state on both axes (interval midpoints)."""
-    initial = next((s for s in states if not s.alternative), None)
-    if initial is None:
+    than the untreated state on both axes (interval midpoints). Edges are
+    ordered by (from, to) position among the kept states."""
+    states = States.of(states)
+    untreated = np.flatnonzero(states.masks == 0)
+    if not len(untreated):
         raise AnalysisError("no untreated state among the states")
-    kept, pruned = [], []
-    for s in states:
-        if (
-            s is not initial
-            and s.frequency.midpoint > initial.frequency.midpoint
-            and s.consequence.midpoint > initial.consequence.midpoint
-        ):
-            pruned.append(s)
-        else:
-            kept.append(s)
-    # Looking up each state's one-step supersets keeps this O(n 2^n). Edges
-    # are ordered by (from, to) position in the kept list, as DOT output expects.
-    positions: dict[Alternative, list[int]] = {}
-    for j, s in enumerate(kept):
-        positions.setdefault(s.alternative, []).append(j)
-    universe = frozenset().union(*positions)
-    edges = []
-    for i, s in enumerate(kept):
-        for cm in universe - s.alternative:
-            for j in positions.get(s.alternative | {cm}, ()):
-                edges.append((i, j, cm))
-    edges.sort()
-    edges = [(kept[i].index, kept[j].index, cm) for i, j, cm in edges]
-    return DecisionDiagram(tuple(kept), tuple(edges), initial, tuple(pruned))
+    with np.errstate(over="ignore"):
+        midpoints = 0.5 * (states.values[0::2] + states.values[1::2])  # frequency, consequence
+    worse = (midpoints > midpoints[:, untreated[:1]]).all(axis=0)
+    kept = states.take(~worse)
+    # Each kept state's one-bit supersets, by binary search (a plain list may repeat a mask).
+    order = np.argsort(kept.masks, kind="stable")
+    sources, bits = np.nonzero((kept.masks[:, None] >> np.arange(len(states.ids)) & 1) == 0)
+    wanted = kept.masks[sources] | 1 << bits
+    first = np.searchsorted(kept.masks[order], wanted)
+    count = np.searchsorted(kept.masks[order], wanted, "right") - first
+    sources, bits, first = (np.repeat(x, count) for x in (sources, bits, first))
+    targets = order[first + np.arange(len(first)) - np.repeat(np.cumsum(count) - count, count)]
+    rank = np.argsort(sources * len(kept) + targets, kind="stable")
+    edges = Edges(states.ids, kept.indices[sources[rank]], kept.indices[targets[rank]], bits[rank])
+    return DecisionDiagram(kept, edges, states[int(untreated[0])], states.take(worse))
 
 
 def export_dot(diagram: DecisionDiagram) -> str:
     """DOT text; node positions put frequency on X and consequence on Y."""
-    out = io.StringIO()
-    out.write("digraph decision {\n")
-    out.write("  node [shape=circle];\n")
-    for s in diagram.states:
-        f, co = s.frequency.midpoint, s.consequence.midpoint
-        out.write(
-            f'  {s.name} [label="{s.name}\\n({s.frequency}, {s.consequence})" '
-            f'pos="{f:g},{co:g}!"];\n'
-        )
-    for a, b, cm in diagram.edges:
-        out.write(f'  S{a} -> S{b} [label="{cm}"];\n')
-    out.write("}\n")
-    return out.getvalue()
+    states = States.of(diagram.states)
+    rows = zip(states.indices.tolist(), *states.texts(), *states.values.tolist())
+    lines = ["digraph decision {\n  node [shape=circle];\n"]
+    lines += (  # placed at the midpoints, as Interval.midpoint computes them
+        f'  S{i} [label="S{i}\\n({f}, {c})" pos="{0.5 * (fl + fh):g},{0.5 * (cl + ch):g}!"];\n'
+        for i, f, c, fl, fh, cl, ch in rows
+    )
+    edges = iter(diagram.edges)  # one %-format per 2048 edges, and no bytecode per edge
+    while block := tuple(chain.from_iterable(islice(edges, 2048))):
+        lines.append('  S%s -> S%s [label="%s"];\n' * (len(block) // 3) % block)
+    return "".join(lines + ["}\n"])
 
 
-def export_csv(states: list[RiskState]) -> str:
-    """CSV of states: state,alternative,frequency,consequence."""
-    lines = ["state,alternative,frequency,consequence"]
-    for s in states:
-        alt = "+".join(sorted(s.alternative))
-        lines.append(f"S{s.index},{alt},{s.frequency},{s.consequence}")
-    return "\n".join(lines) + "\n"
+def export_csv(states: Iterable[RiskState]) -> str:
+    """CSV of states: state,alternative,frequency,consequence. A plain list is
+    read into a States first."""
+    states = States.of(states)
+    alternatives = [a[1:] for a in joined(states.ids, states.masks, "+".__add__)]
+    rows = zip(states.indices.tolist(), alternatives, *states.texts())
+    lines = [f"S{i},{a},{f},{c}\n" for i, a, f, c in rows]
+    return "state,alternative,frequency,consequence\n" + "".join(lines)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -169,5 +170,7 @@ def propagate(model: RiskModel, alternative: Alternative) -> dict[str, VertexRes
             if t.countermeasure in alternative
         ]
         freq, cons = apply_countermeasures(freq, cons, effects)
+        if not (math.isfinite(freq.lo) and math.isfinite(freq.hi)):  # a consequence only shrinks
+            raise CalculusError(f"vertex {v.id!r}: residual frequency is not a finite number")
         results[v.id] = VertexResult(freq, cons)
     return results

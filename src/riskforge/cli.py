@@ -9,6 +9,7 @@ from pathlib import Path
 
 from . import analysis, dsl, oracle, synergy
 from .calculus import CalculusError, propagate
+from .engine import joined
 from .model import RiskModel, known_diagnostics
 
 EXIT_OK = 0
@@ -111,21 +112,24 @@ def _cmd_analyze(args) -> int:
     elif args.format == "dot":
         out = analysis.export_dot(analysis.build_decision_diagram(states))
     else:
-        doc = [
-            {
-                "state": f"S{s.index}",
-                "alternative": sorted(s.alternative),
-                "frequency": dsl._value_to_json(s.frequency),
-                "consequence": dsl._value_to_json(s.consequence),
-            }
-            for s in states
-        ]
-        out = dsl._indented_json(doc) + "\n"
+        out = _states_json(states) + "\n"
     if args.out:
         Path(args.out).write_text(out, encoding="utf-8")
     else:
         sys.stdout.write(out)
     return EXIT_OK
+
+
+def _states_json(states: analysis.States) -> str:
+    """What dsl._indented_json writes for analyze's list of states, one format per entry."""
+    # Ids are ASCII identifiers in a valid model, and values finite, as enumerate_states checks.
+    ids = joined(states.ids, states.masks, ',\n      "{}"'.format)
+    alternatives = (f"[{t[1:]}\n    ]" if t else "[]" for t in ids)
+    values = states.texts("%r", "[\n      %s,\n      %s\n    ]")
+    entry = '\n  {{\n    "state": "S{}",\n    "alternative": {},'
+    entry += '\n    "frequency": {},\n    "consequence": {}\n  }}'
+    entries = map(entry.format, states.indices.tolist(), alternatives, *values)
+    return "[" + ",".join(entries) + "\n]"
 
 
 def _cmd_synergy(args) -> int:
@@ -170,7 +174,7 @@ def _ranking_json(ranking) -> str:
     if not ranking:
         return "[]"
     # A valid model's ids are ASCII identifiers, which JSON quotes as they are.
-    ids = ranking.compiled.joined(ranking.masks, ',\n        "{}"'.format)
+    ids = joined(ranking.compiled.countermeasures, ranking.masks, ',\n        "{}"'.format)
     costs = map(float.__repr__, ranking.costs.tolist())  # finite, as recommend checks
     entry = '\n    {{\n      "countermeasures": {},\n      "overall_cost": {}\n    }}'
     entries = (entry.format(f"[{t[1:]}\n      ]" if t else "[]", c) for t, c in zip(ids, costs))

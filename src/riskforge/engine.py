@@ -24,7 +24,7 @@ bounds memory at any n up to the enumeration cap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -79,9 +79,6 @@ class CompiledModel:
             countermeasures = sorted(c.id for c in model.countermeasures)
         self.countermeasures = tuple(countermeasures)
         bit = {c: i for i, c in enumerate(self.countermeasures)}
-        # subset() and joined() join a value of the low and one of the high half of a mask.
-        self._half = len(self.countermeasures) // 2
-        self._low, self._high = self._by_half(frozenset)
         base = model.base_period
         self.expenditures = tuple(
             model.countermeasure(c).expenditure_per(base) for c in self.countermeasures
@@ -152,20 +149,7 @@ class CompiledModel:
 
     def subset(self, mask: int) -> frozenset:
         """The countermeasure ids selected by a mask."""
-        return self._low[mask & ((1 << self._half) - 1)] | self._high[mask >> self._half]
-
-    def joined(self, masks: np.ndarray, text: Callable[[str], str]) -> list[str]:
-        """Per mask, ``text`` of each selected id, concatenated in bit order."""
-        low, high = self._by_half(lambda ids: "".join(map(text, ids)))
-        halves = zip((masks & ((1 << self._half) - 1)).tolist(), (masks >> self._half).tolist())
-        return [low[a] + high[b] for a, b in halves]
-
-    def _by_half(self, build: Callable[[list[str]], Any]) -> tuple[list, list]:
-        """``build`` of the selected ids of every mask of the low and of the high half."""
-        return tuple(
-            [build([c for i, c in enumerate(part) if m >> i & 1]) for m in range(1 << len(part))]
-            for part in (self.countermeasures[: self._half], self.countermeasures[self._half :])
-        )
+        return frozenset(c for i, c in enumerate(self.countermeasures) if mask >> i & 1)
 
     def expenditure(self, masks: np.ndarray) -> np.ndarray:
         """Summed expenditure per mask, added in countermeasure-id order."""
@@ -225,6 +209,27 @@ class CompiledModel:
         if exclusive:
             _check_exclusive(exclusive, m)
         return out
+
+
+class ArraySequence(Sequence):
+    """A read-only sequence kept as arrays; ``_entry(i)`` builds entry i when it is read."""
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self._entry(j) for j in range(*i.indices(len(self))))
+        return self._entry(range(len(self))[i])  # negative indices count from the end, as a tuple's
+
+
+def joined(ids: Sequence[str], masks: np.ndarray, text: Callable[[str], str]) -> list[str]:
+    """Per mask over ``ids`` (bit i for ids[i]), ``text`` of each selected id,
+    concatenated in bit order, from one table per half of the bits."""
+    half = len(ids) // 2
+    low, high = (
+        ["".join(text(c) for i, c in enumerate(part) if m >> i & 1) for m in range(1 << len(part))]
+        for part in (ids[:half], ids[half:])
+    )
+    halves = zip((masks & ((1 << half) - 1)).tolist(), (masks >> half).tolist())
+    return [low[a] + high[b] for a, b in halves]
 
 
 def _selected(masks: np.ndarray, n: int) -> list[np.ndarray]:

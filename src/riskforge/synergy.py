@@ -14,7 +14,7 @@ import numpy as np
 
 from .analysis import RiskState
 from .calculus import Alternative, propagate
-from .engine import DEFAULT_SUBSET_CAP, CompiledModel
+from .engine import DEFAULT_SUBSET_CAP, ArraySequence, CompiledModel, joined
 from .intervals import Interval
 from .model import RiskModel
 
@@ -132,7 +132,7 @@ def find_alternatives(
     return _search(model, cap, pessimistic)[0]
 
 
-class Ranking(Sequence):
+class Ranking(ArraySequence):
     """Ranked alternatives kept as arrays: ``masks`` and ``costs`` in rank
     order, and the GlobalAlternative of rank i built only when it is read."""
 
@@ -143,10 +143,7 @@ class Ranking(Sequence):
     def __len__(self) -> int:
         return len(self.masks)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(self[j] for j in range(*i.indices(len(self))))
-        i = range(len(self))[i]  # negative indices count from the end, as a tuple's
+    def _entry(self, i: int) -> GlobalAlternative:
         ca = self.compiled.subset(int(self.masks[i]))
         values = iter(self._values[:, i].tolist())
         states = {
@@ -240,7 +237,8 @@ def export_ranking_csv(ranked: Sequence[GlobalAlternative]) -> str:
     """CSV ranking: rank,alternative,overall_cost,acceptable. A Ranking is
     written from its arrays."""
     if isinstance(ranked, Ranking):
-        alternatives = [a[1:] for a in ranked.compiled.joined(ranked.masks, "+".__add__)]
+        alternatives = joined(ranked.compiled.countermeasures, ranked.masks, "+".__add__)
+        alternatives = [a[1:] for a in alternatives]
         costs = ranked.costs.tolist()
     else:
         alternatives = ["+".join(sorted(g.countermeasures)) for g in ranked]

@@ -109,7 +109,7 @@ def test_decision_diagram_is_hypercube(ehealth):
     diagram = build_decision_diagram(states)
     assert len(diagram.states) == 8
     assert len(diagram.edges) == 12  # n * 2^(n-1) for n = 3
-    assert diagram.pruned == ()
+    assert len(diagram.pruned) == 0
     assert diagram.initial.alternative == frozenset()
     by_index = {s.index: s for s in diagram.states}
     for a, b, cm in diagram.edges:
@@ -120,7 +120,7 @@ def test_decision_diagram_single_state(ehealth):
     states = enumerate_states(ehealth, "LMD")
     diagram = build_decision_diagram(states[:1])
     assert len(diagram.states) == 1
-    assert diagram.edges == ()
+    assert tuple(diagram.edges) == ()
 
 
 def test_decision_diagram_needs_the_untreated_state(ehealth):
@@ -138,7 +138,7 @@ def test_no_pruning_with_unit_effects():
             if len(applicable_countermeasures(m, risk)) > 3:
                 continue
             diagram = build_decision_diagram(enumerate_states(m, risk))
-            assert diagram.pruned == ()
+            assert len(diagram.pruned) == 0
 
 
 def test_export_dot(ehealth):
@@ -177,26 +177,42 @@ def _pairwise_diagram(states):
     return tuple(kept), tuple(edges), initial, tuple(pruned)
 
 
+def _reference_dot(states, edges):
+    """The DOT that was written from RiskState objects, one f-string per line."""
+    lines = ["digraph decision {\n", "  node [shape=circle];\n"]
+    for s in states:
+        f, c = s.frequency.midpoint, s.consequence.midpoint
+        label = f"{s.name}\\n({s.frequency}, {s.consequence})"
+        lines.append(f'  {s.name} [label="{label}" pos="{f:g},{c:g}!"];\n')
+    lines += [f'  S{a} -> S{b} [label="{cm}"];\n' for a, b, cm in edges]
+    return "".join(lines) + "}\n"
+
+
 def _same_diagram(states):
     diagram = build_decision_diagram(states)
-    got = (diagram.states, diagram.edges, diagram.initial, diagram.pruned)
+    got = (tuple(diagram.states), tuple(diagram.edges), diagram.initial, tuple(diagram.pruned))
     assert got == _pairwise_diagram(states)
+    assert export_dot(diagram) == _reference_dot(*got[:2])
     return diagram
 
 
 def test_decision_diagram_matches_pairwise_construction(ehealth):
-    states = enumerate_states(ehealth, "LMD")
-    dot = export_dot(_same_diagram(states))
-    assert dot == export_dot(DecisionDiagram(*_pairwise_diagram(states)))
+    _same_diagram(enumerate_states(ehealth, "LMD"))
     rng = np.random.default_rng(31)
-    pruned_seen = 0
-    for _ in range(40):
-        m = random_model(rng, interval=bool(rng.random() < 0.5), max_cms=5)
+    pruned_seen, widest = 0, 0
+    for trial in range(40):
+        wide = trial % 4 == 0  # one incident and up to 8 countermeasures
+        interval = bool(rng.random() < 0.5)
+        m = random_model(rng, interval, max_incidents=1 if wide else 2, max_cms=8 if wide else 5)
         for risk in (v.id for v in m.incidents):
             states = enumerate_states(m, risk)
+            widest = max(widest, len(states).bit_length() - 1)
+            # The States sequence itself, and the plain list read back from it.
             _same_diagram(states)
-            # Shuffled and thinned lists, and states worse than the untreated
-            # one, exercise list-order edges and pruning.
+            _same_diagram(list(states))
+            assert export_csv(list(states)) == export_csv(states)
+            # Shuffled and thinned lists that repeat two states, and states worse
+            # than the untreated one, exercise list-order edges and pruning.
             order = rng.permutation(len(states))
             mixed = [states[i] for i in order if i == 0 or rng.random() < 0.8]
             worse = [
@@ -205,5 +221,9 @@ def test_decision_diagram_matches_pairwise_construction(ehealth):
                 else s
                 for s in mixed
             ]
-            pruned_seen += len(_same_diagram(worse).pruned)
-    assert pruned_seen > 0
+            pruned_seen += len(_same_diagram(worse + worse[-2:]).pruned)
+    assert pruned_seen > 0 and widest == 8
+    # 9 countermeasures give 2,304 edges, which export_dot writes in two blocks.
+    wide = random_model(np.random.default_rng(18), True, max_incidents=1, max_cms=9)
+    diagram = _same_diagram(enumerate_states(wide, wide.incidents[0].id))
+    assert len(diagram.edges) == 9 * 2**8

@@ -121,6 +121,30 @@ def test_non_finite_number_is_a_model_error(tmp_path, capsys):
     assert "initiate T->A frequency is not a finite number" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["analyze", "--risk", "B", "--format", "csv"], "risk 'B'"),
+        (["analyze", "--risk", "B", "--format", "dot"], "risk 'B'"),
+        (["analyze", "--risk", "B", "--format", "json"], "risk 'B'"),
+        (["propagate"], "vertex 'B'"),
+    ],
+)
+def test_an_overflow_is_a_model_error(argv, message, tmp_path, capsys):
+    """Finite inputs whose product overflows stop with one error line, not inf."""
+    path = tmp_path / "overflow.riskdsl"
+    path.write_text(
+        RULE_FILE.replace("frequency 3:1y", "frequency 1e200:1y").replace("0.8", "1e200")
+        + "countermeasure C cost 1:1y\ntreats C -> A effect 0.5L 0C\n"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy RuntimeWarning either
+        assert run([argv[0], str(path), *argv[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}: residual frequency is not a finite number\n"
+
+
 def test_synergy_csv(ehealth_path, capsys):
     assert run(["synergy", ehealth_path]) == 0
     lines = capsys.readouterr().out.strip().split("\n")
@@ -439,7 +463,7 @@ def test_deep_chain_validates_and_propagates(tmp_path, capsys):
         assert "cycle: S0,S1," in err
 
 
-GOLDEN_SYNERGY = Path(__file__).parent / "golden" / "synergy_cli.jsonl"
+GOLDEN = Path(__file__).parent / "golden"
 SYNERGY_FLAGS = [
     [*output, *pessimistic, *budget]
     for output in (["--format", "json"], ["--format", "csv"])
@@ -448,7 +472,7 @@ SYNERGY_FLAGS = [
 ]
 
 
-def _synergy_models() -> list[tuple[str, str]]:
+def _golden_models() -> list[tuple[str, str]]:
     """(name, DSL text) of the three fixtures and 40 random models."""
     models = [(path.name, path.read_text()) for path in sorted(FIXTURES.glob("*.riskdsl"))]
     for seed in range(40):
@@ -463,27 +487,63 @@ def _synergy_models() -> list[tuple[str, str]]:
     return models
 
 
-def _synergy_digests(name: str, text: str, directory: Path) -> list[list]:
-    """[flags, sha256 of the JSON list (exit code, stdout, stderr)] per flag set."""
-    path = directory / name
-    path.write_text(text)
+def _digests(command: str, path: Path, runs: list[list[str]]) -> list[list]:
+    """[flags, sha256 of the JSON list (exit code, stdout, stderr)] per flag set.
+
+    Flags ending in ``--out`` get a file to write, and its bytes join the list.
+    """
     digests = []
-    for flags in SYNERGY_FLAGS:
+    for flags in runs:
         out, err = io.StringIO(), io.StringIO()
+        written = path.with_suffix(".out")
+        extra = [str(written)] if flags[-1:] == ["--out"] else []
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = run(["synergy", str(path), *flags])
-        outcome = json.dumps([code, out.getvalue(), err.getvalue()])
+            code = run([command, str(path), *flags, *extra])
+        outcome = [code, out.getvalue(), err.getvalue()]
+        if extra:
+            outcome.append(written.read_text(encoding="utf-8"))
+        outcome = json.dumps(outcome)
         digests.append([flags, hashlib.sha256(outcome.encode()).hexdigest()])
     return digests
+
+
+def _golden_records(filename: str) -> list[dict]:
+    with (GOLDEN / filename).open(encoding="utf-8") as golden:
+        records = [json.loads(line) for line in golden]
+    assert [r["model"] for r in records] == [name for name, _ in _golden_models()]
+    return records
+
+
+def _synergy_digests(name: str, text: str, directory: Path) -> list[list]:
+    path = directory / name
+    path.write_text(text)
+    return _digests("synergy", path, SYNERGY_FLAGS)
 
 
 def test_synergy_output_matches_the_golden_digests(tmp_path):
     """Each record holds a model's text and the digests of what ``synergy``
     wrote for it under each flag set, recorded before the ranking was kept in
     arrays (CHANGES.md says how the file was made)."""
-    with GOLDEN_SYNERGY.open(encoding="utf-8") as golden:
-        records = [json.loads(line) for line in golden]
-    assert [r["model"] for r in records] == [name for name, _ in _synergy_models()]
-    for record in records:
+    for record in _golden_records("synergy_cli.jsonl"):
         digests = _synergy_digests(record["model"], record["text"], tmp_path)
+        assert digests == record["digests"], record["model"]
+
+
+def _analyze_digests(name: str, text: str, directory: Path) -> list[list]:
+    """Every incident in csv, dot and json; the e-health fixture's incident
+    also once with ``--out``."""
+    path = directory / name
+    path.write_text(text)
+    risks = [v.id for v in parse(text).incidents]
+    runs = [["--risk", r, "--format", f] for r in risks for f in ("csv", "dot", "json")]
+    if name == "ehealth.riskdsl":
+        runs.append(["--risk", risks[0], "--format", "dot", "--out"])
+    return _digests("analyze", path, runs)
+
+
+def test_analyze_output_matches_the_golden_digests(tmp_path):
+    """As the synergy digests, for ``analyze``, recorded before the decision
+    diagram was kept in arrays."""
+    for record in _golden_records("analyze_cli.jsonl"):
+        digests = _analyze_digests(record["model"], record["text"], tmp_path)
         assert digests == record["digests"], record["model"]
