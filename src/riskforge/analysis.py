@@ -4,13 +4,13 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain, compress, islice
 
 import numpy as np
 
 from .calculus import Alternative, _check_valid, evaluation_plan
-from .engine import DEFAULT_SUBSET_CAP, ArraySequence, CompiledModel, joined
-from .intervals import Interval
+from .engine import DEFAULT_SUBSET_CAP, ArraySequence, CompiledModel, _selected, joined
+from .intervals import Interval, midpoint
 from .model import RiskModel, VertexKind
 
 
@@ -66,7 +66,7 @@ class States(ArraySequence):
 
     def _entry(self, i: int) -> RiskState:
         f_lo, f_hi, c_lo, c_hi = self.values[:, i].tolist()
-        alternative = frozenset(c for b, c in enumerate(self.ids) if self.masks[i] >> b & 1)
+        alternative = frozenset(compress(self.ids, _selected(self.masks[i], len(self.ids))))
         frequency, consequence = Interval(f_lo, f_hi), Interval(c_lo, c_hi)
         return RiskState(self.risk, alternative, frequency, consequence, int(self.indices[i]))
 
@@ -155,13 +155,12 @@ def build_decision_diagram(states: Iterable[RiskState]) -> DecisionDiagram:
     untreated = np.flatnonzero(states.masks == 0)
     if not len(untreated):
         raise AnalysisError("no untreated state among the states")
-    with np.errstate(over="ignore"):
-        midpoints = 0.5 * (states.values[0::2] + states.values[1::2])  # frequency, consequence
+    midpoints = midpoint(states.values[0::2], states.values[1::2])  # frequency, consequence
     worse = (midpoints > midpoints[:, untreated[:1]]).all(axis=0)
     kept = states.take(~worse)
     # Each kept state's one-bit supersets, by binary search (a plain list may repeat a mask).
     order = np.argsort(kept.masks, kind="stable")
-    sources, bits = np.nonzero((kept.masks[:, None] >> np.arange(len(states.ids)) & 1) == 0)
+    sources, bits = np.nonzero(~_selected(kept.masks, len(states.ids)).T)
     wanted = kept.masks[sources] | 1 << bits
     first = np.searchsorted(kept.masks[order], wanted)
     count = np.searchsorted(kept.masks[order], wanted, "right") - first
@@ -175,11 +174,11 @@ def build_decision_diagram(states: Iterable[RiskState]) -> DecisionDiagram:
 def export_dot(diagram: DecisionDiagram) -> str:
     """DOT text; node positions put frequency on X and consequence on Y."""
     states = States.of(diagram.states)
-    rows = zip(states.indices.tolist(), *states.texts(), *states.values.tolist())
+    positions = midpoint(states.values[0::2], states.values[1::2]).tolist()
+    rows = zip(states.indices.tolist(), *states.texts(), *positions)
     lines = ["digraph decision {\n  node [shape=circle];\n"]
-    lines += (  # placed at the midpoints, as Interval.midpoint computes them
-        f'  S{i} [label="S{i}\\n({f}, {c})" pos="{0.5 * (fl + fh):g},{0.5 * (cl + ch):g}!"];\n'
-        for i, f, c, fl, fh, cl, ch in rows
+    lines += (
+        f'  S{i} [label="S{i}\\n({f}, {c})" pos="{x:g},{y:g}!"];\n' for i, f, c, x, y in rows
     )
     edges = iter(diagram.edges)  # one %-format per 2048 edges, and no bytecode per edge
     while block := tuple(chain.from_iterable(islice(edges, 2048))):

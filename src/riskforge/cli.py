@@ -174,7 +174,7 @@ def _ranking_json(ranking) -> str:
     if not ranking:
         return "[]"
     # A valid model's ids are ASCII identifiers, which JSON quotes as they are.
-    ids = joined(ranking.compiled.countermeasures, ranking.masks, ',\n        "{}"'.format)
+    ids = joined(ranking.ids, ranking.masks, ',\n        "{}"'.format)
     costs = map(float.__repr__, ranking.costs.tolist())  # finite, as recommend checks
     entry = '\n    {{\n      "countermeasures": {},\n      "overall_cost": {}\n    }}'
     entries = (entry.format(f"[{t[1:]}\n      ]" if t else "[]", c) for t, c in zip(ids, costs))

@@ -147,10 +147,6 @@ class CompiledModel:
             )
         self._plan = tuple(compiled)
 
-    def subset(self, mask: int) -> frozenset:
-        """The countermeasure ids selected by a mask."""
-        return frozenset(c for i, c in enumerate(self.countermeasures) if mask >> i & 1)
-
     def expenditure(self, masks: np.ndarray) -> np.ndarray:
         """Summed expenditure per mask, added in countermeasure-id order."""
         total = np.zeros(len(masks))
@@ -232,12 +228,13 @@ def joined(ids: Sequence[str], masks: np.ndarray, text: Callable[[str], str]) ->
     return [low[a] + high[b] for a, b in halves]
 
 
-def _selected(masks: np.ndarray, n: int) -> list[np.ndarray]:
-    """Per countermeasure bit, which of the masks select it."""
-    return [(masks >> i & 1).astype(bool) for i in range(n)]
+def _selected(masks, n: int) -> np.ndarray:
+    """Bit matrix of one mask or an array of them: row i says which masks hold
+    bit i, the one that selects the i-th countermeasure."""
+    return np.bitwise_and.outer(1 << np.arange(n), masks) != 0
 
 
-def _apply(treats: tuple[_Treat, ...], selected: list, *values):
+def _apply(treats: tuple[_Treat, ...], selected: np.ndarray, *values):
     """Multiply (freq lo, hi[, cons lo, hi]) by the surviving fraction of each
     selected effect, in ascending effect order per column."""
     if not treats:

@@ -2,7 +2,19 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+import numpy as np
+
+
+def midpoint(lo, hi):
+    """0.5 * (lo + hi) of floats or arrays, and 0.5 * lo + 0.5 * hi where that
+    sum overflows, so that finite endpoints have a finite midpoint."""
+    with np.errstate(over="ignore"):
+        mid = 0.5 * (lo + hi)
+    overflow = np.isinf(mid)
+    return np.where(overflow, 0.5 * lo + 0.5 * hi, mid) if overflow.any() else mid
 
 
 @dataclass(frozen=True)
@@ -26,7 +38,8 @@ class Interval:
 
     @property
     def midpoint(self) -> float:
-        return 0.5 * (self.lo + self.hi)
+        mid = 0.5 * (self.lo + self.hi)  # plain float arithmetic; numpy only where it overflows
+        return float(midpoint(self.lo, self.hi)) if math.isinf(mid) else mid
 
     def __add__(self, other: "Interval") -> "Interval":
         return Interval(self.lo + other.lo, self.hi + other.hi)

@@ -7,15 +7,16 @@ import math
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import compress
 from types import MappingProxyType
 from typing import Mapping, Optional
 
 import numpy as np
 
-from .analysis import RiskState
+from .analysis import RiskState, States
 from .calculus import Alternative, propagate
-from .engine import DEFAULT_SUBSET_CAP, ArraySequence, CompiledModel, joined
-from .intervals import Interval
+from .engine import DEFAULT_SUBSET_CAP, ArraySequence, CompiledModel, _selected, joined
+from .intervals import midpoint
 from .model import RiskModel
 
 
@@ -91,24 +92,12 @@ def acceptable(
 
     Risks without criteria are vacuously acceptable (warned once per call).
     """
-    return _verdicts(model, _states_under(model, ca), pessimistic, warn=True)
-
-
-def _verdicts(
-    model: RiskModel,
-    states: dict[str, RiskState],
-    pessimistic: bool,
-    warn: bool,
-) -> dict[str, bool]:
     by_risk = {a.risk: a for a in model.criteria}
     verdicts: dict[str, bool] = {}
-    for risk, state in states.items():
+    for risk, state in _states_under(model, ca).items():
         crit = by_risk.get(risk)
         if crit is None:
-            if warn:
-                warnings.warn(
-                    f"risk {risk!r} has no acceptance criterion; treated as acceptable"
-                )
+            warnings.warn(f"risk {risk!r} has no acceptance criterion; treated as acceptable")
             verdicts[risk] = True
             continue
         max_f, max_c = crit.bounds(model.base_period)
@@ -133,23 +122,20 @@ def find_alternatives(
 
 
 class Ranking(ArraySequence):
-    """Ranked alternatives kept as arrays: ``masks`` and ``costs`` in rank
-    order, and the GlobalAlternative of rank i built only when it is read."""
+    """Ranked alternatives kept as arrays: ``ids`` the sorted countermeasure
+    ids (bit i for ids[i]), ``masks`` and ``costs`` in rank order, and per risk
+    its ``states`` over the ranked masks, each named by its mask. The
+    GlobalAlternative of rank i is built only when it is read."""
 
-    def __init__(self, compiled: CompiledModel, risks: list, masks, costs, values):
-        self.compiled, self.risks, self.masks, self.costs = compiled, risks, masks, costs
-        self._values = values  # (4 endpoints per risk, rank)
+    def __init__(self, ids: tuple[str, ...], masks, costs, states: dict[str, States]):
+        self.ids, self.masks, self.costs, self.states = ids, masks, costs, states
 
     def __len__(self) -> int:
         return len(self.masks)
 
     def _entry(self, i: int) -> GlobalAlternative:
-        ca = self.compiled.subset(int(self.masks[i]))
-        values = iter(self._values[:, i].tolist())
-        states = {
-            risk: RiskState(risk, ca, Interval(f_lo, f_hi), Interval(c_lo, c_hi))
-            for risk, f_lo, f_hi, c_lo, c_hi in zip(self.risks, *[values] * 4)
-        }
+        ca = frozenset(compress(self.ids, _selected(self.masks[i], len(self.ids))))
+        states = {risk: s[i] for risk, s in self.states.items()}
         return GlobalAlternative(ca, states, float(self.costs[i]))
 
 
@@ -161,7 +147,7 @@ def _search(model: RiskModel, cap: int, pessimistic: bool) -> tuple[Ranking, tup
         raise SynergyError(f"{n} countermeasures exceed the enumeration cap of {cap}")
     risks = [v.id for v in model.incidents]
     compiled = CompiledModel(model, outputs=risks)
-    kept: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # masks, costs, values
+    kept: list[tuple[np.ndarray, ...]] = []  # masks, costs, then per risk its 4 value rows
     best: dict[str, tuple[float, float]] = {}
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are raised below
         for masks, columns in compiled.chunks():
@@ -172,8 +158,8 @@ def _search(model: RiskModel, cap: int, pessimistic: bool) -> tuple[Ranking, tup
                 if pessimistic:
                     freq, r_cost = f_hi, f_hi * c_hi
                 else:
-                    freq = 0.5 * (f_lo + f_hi)
-                    r_cost = freq * (0.5 * (c_lo + c_hi))
+                    freq = midpoint(f_lo, f_hi)
+                    r_cost = freq * midpoint(c_lo, c_hi)
                 if not np.isfinite(r_cost).all():  # inf or nan too when the frequency is
                     raise SynergyError(f"risk {risk!r}: residual risk cost is not a finite number")
                 cost = cost + r_cost
@@ -192,24 +178,24 @@ def _search(model: RiskModel, cap: int, pessimistic: bool) -> tuple[Ranking, tup
             if not np.isfinite(cost).all():
                 raise SynergyError("overall cost is not a finite number")
             keep = np.flatnonzero(feasible)
-            values = [c[keep] for risk in risks for c in columns[risk]]
-            values = np.reshape(values, (4 * len(risks), len(keep)))  # also with no risk
-            kept.append((masks[keep], cost[keep], values))
-    masks, costs, values = (np.concatenate(part, axis=-1) for part in zip(*kept))
+            values = (np.array([c[keep] for c in columns[risk]]) for risk in risks)
+            kept.append((masks[keep], cost[keep], *values))
+    masks, costs, *values = (np.concatenate(part, axis=-1) for part in zip(*kept))
     # Bit i is the i-th sorted id, so among sets of one size, the one holding
     # the lowest differing bit, which has the larger bit-reversed mask, sorts
     # first by tuple(sorted(ids)).
-    size, reversed_mask = np.zeros_like(masks), np.zeros_like(masks)
-    for i in range(n):
-        bit = masks >> i & 1
-        size += bit
-        reversed_mask |= bit << (n - 1 - i)
-    order = np.lexsort((-reversed_mask, size, costs))
+    bits = _selected(masks, n)
+    order = np.lexsort((-((1 << np.arange(n)[::-1]) @ bits), bits.sum(0), costs))
+    masks = masks[order]
+    states = {
+        risk: States(risk, compiled.countermeasures, masks, masks, v[:, order])
+        for risk, v in zip(risks, values)
+    }
     report = tuple(
         RiskGap(risk, *best[risk], *compiled.bounds.get(risk, (None, None)))
         for risk in sorted(best)
     )
-    return Ranking(compiled, risks, masks[order], costs[order], values[:, order]), report
+    return Ranking(compiled.countermeasures, masks, costs[order], states), report
 
 
 def recommend(
@@ -237,7 +223,7 @@ def export_ranking_csv(ranked: Sequence[GlobalAlternative]) -> str:
     """CSV ranking: rank,alternative,overall_cost,acceptable. A Ranking is
     written from its arrays."""
     if isinstance(ranked, Ranking):
-        alternatives = joined(ranked.compiled.countermeasures, ranked.masks, "+".__add__)
+        alternatives = joined(ranked.ids, ranked.masks, "+".__add__)
         alternatives = [a[1:] for a in alternatives]
         costs = ranked.costs.tolist()
     else:

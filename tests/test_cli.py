@@ -145,6 +145,24 @@ def test_an_overflow_is_a_model_error(argv, message, tmp_path, capsys):
     assert captured.err == f"error: {message}: residual frequency is not a finite number\n"
 
 
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["synergy", "--format", "json"], '"overall_cost": 1.7e+308'),
+        (["analyze", "--risk", "R", "--format", "dot"], 'pos="1,1.7e+308!"'),
+    ],
+)
+def test_a_midpoint_of_huge_finite_endpoints_is_finite(argv, text, tmp_path, capsys):
+    path = tmp_path / "huge.riskdsl"
+    path.write_text(
+        'riskmodel "huge" timeunit 1y\nthreat T\nincident R consequence 1.7e308\n'
+        "initiate T -> R frequency 1:1y\n"
+    )
+    assert run([argv[0], str(path), *argv[1:]]) == 0
+    out = capsys.readouterr().out
+    assert text in out and "inf" not in out
+
+
 def test_synergy_csv(ehealth_path, capsys):
     assert run(["synergy", ehealth_path]) == 0
     lines = capsys.readouterr().out.strip().split("\n")

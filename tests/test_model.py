@@ -22,6 +22,7 @@ from riskforge import (
     validate,
 )
 from dataclasses import replace
+from riskforge.intervals import midpoint
 
 from genmodels import random_model
 
@@ -37,6 +38,25 @@ def test_interval_complement_and_product():
     assert Interval(1.0, 2.0) * Interval(3.0, 4.0) == Interval(3.0, 8.0)
     with pytest.raises(ValueError):
         Interval(1.5, 2.0).complement()
+
+
+def test_midpoint_is_the_plain_one_unless_that_overflows():
+    rng = np.random.default_rng(11)
+    pairs = rng.integers(0, 2**64, size=(2, 100_000), dtype=np.uint64).view(float)
+    pairs = pairs[:, np.isfinite(pairs).all(axis=0)]  # every finite float is as likely
+    big = rng.uniform(0.25, 1.0, (2, 10_000)) * np.finfo(float).max * rng.choice([-1.0, 1.0], 10_000)
+    lo, hi = np.sort(np.concatenate([pairs, big], axis=1), axis=0)
+    with np.errstate(over="ignore"):
+        plain = 0.5 * (lo + hi)
+    mid = midpoint(lo, hi)
+    finite = np.isfinite(plain)
+    assert 1_000 < (~finite).sum() < 10_000
+    assert (mid[finite].view(np.int64) == plain[finite].view(np.int64)).all()  # bit for bit
+    assert np.isfinite(mid).all() and (lo <= mid).all() and (mid <= hi).all()
+    some = np.flatnonzero(~finite)[:50].tolist() + np.flatnonzero(finite)[:50].tolist()
+    assert [Interval(*pair).midpoint for pair in zip(lo[some].tolist(), hi[some].tolist())] == (
+        mid[some].tolist()
+    )
 
 
 def test_period_rates():
@@ -95,6 +115,47 @@ def test_validate_rejects_treats_on_threat(ehealth):
         treats=ehealth.treats + (TreatsRel("IRN", "NF", Interval.point(0.5), Interval.point(0.0)),),
     )
     assert any("not a scenario or incident" in d.message for d in validate(bad) if d.is_error)
+
+
+@pytest.mark.parametrize(
+    "field, index, changes, message",
+    [
+        ("vertices", 5, {"consequence": None}, "incident 'LMD' has no consequence"),
+        (
+            "vertices",
+            5,
+            {"consequence": Interval.point(-1.0)},
+            "incident 'LMD' has negative consequence",
+        ),
+        ("initiates", 0, {"source": "HGD"}, "initiate source 'HGD' is not a threat"),
+        ("initiates", 0, {"target": "PMS"}, "initiate target 'PMS' is not a scenario or incident"),
+        ("leadsto", 0, {"source": "NF"}, "leadsto NF->TDI must connect core vertices"),
+        (
+            "leadsto",
+            0,
+            {"likelihood": Interval.point(-0.5)},
+            "leadsto HGD->TDI likelihood must be >= 0",
+        ),
+        ("impacts", 0, {"source": "TDI"}, "impact source 'TDI' is not an incident"),
+        ("impacts", 0, {"target": "HGD"}, "impact target 'HGD' is not an asset"),
+        ("treats", 3, {}, "duplicate treats relation IRN->NCD"),
+        (
+            "depends",
+            0,
+            {"freq_dep": Interval(0.5, 1.5)},
+            "depends EQS frequency dependency outside [0,1]",
+        ),
+        ("criteria", 0, {"risk": "TDI"}, "acceptance criterion target 'TDI' is not an incident"),
+        ("criteria", 0, {"max_frequency": None}, "acceptance criterion for 'LMD' has no bound"),
+    ],
+)
+def test_a_validate_error_names_the_record_at_fault(ehealth, field, index, changes, message):
+    records = getattr(ehealth, field)
+    # An index past the end adds a changed copy of the last record.
+    subject = replace(records[min(index, len(records) - 1)], **changes)
+    model = replace(ehealth, **{field: records[:index] + (subject,) + records[index + 1 :]})
+    faults = [d for d in validate(model) if d.message == message]
+    assert len(faults) == 1 and faults[0].is_error and faults[0].subject is subject
 
 
 def test_validate_unreachable_incident():

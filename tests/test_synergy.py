@@ -79,6 +79,7 @@ def test_find_alternatives_ranking(ehealth_rounded):
     assert ranked[1].overall_cost - ranked[0].overall_cost == pytest.approx(600.0)
     assert ranked[2].overall_cost == pytest.approx(62600.0)
     assert ranked[0].per_risk_states["LMD"].frequency.lo == pytest.approx(7.92)
+    assert ranked[0].per_risk_states["LMD"].name == "S6"  # IRH and IRN, bits 1 and 2
 
 
 def test_global_alternative_states_are_read_only(ehealth_rounded):
@@ -233,7 +234,7 @@ def test_lazy_ranking_matches_a_sort_of_scalar_entries():
                 for ca in _all_subsets(model, cap=20)
                 if all(acceptable(model, ca, pessimistic).values())
             }
-        for g in entries:
+        for i, g in enumerate(entries):
             ca = g.countermeasures
             assert g.overall_cost.hex() == overall_cost(model, ca, pessimistic).hex()
             reference = propagate(model, ca)
@@ -242,6 +243,8 @@ def test_lazy_ranking_matches_a_sort_of_scalar_entries():
                 assert state.alternative == ca
                 assert state.frequency == reference[risk].frequency
                 assert state.consequence == reference[risk].consequence
+                assert state == ranking.states[risk][i]
+                assert state.name == f"S{ranking.masks[i]}"  # as enumerate_states names it
         # The array writers match writing the entries.
         assert export_ranking_csv(ranking) == export_ranking_csv(entries)
         assert cli._ranking_json(ranking) == dsl._indented_json(
