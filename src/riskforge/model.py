@@ -113,7 +113,11 @@ class Countermeasure:
             raise ValueError("expenditure must be nonnegative")
 
     def expenditure_per(self, target: Period) -> float:
-        return self.expenditure * target.days / self.per.days
+        value = self.expenditure * target.days / self.per.days
+        if math.isfinite(value):
+            return value
+        # The product can overflow where the value per target period does not.
+        return self.expenditure * (target.days / self.per.days)
 
 
 @dataclass(frozen=True)

@@ -142,14 +142,31 @@ def _check_point_model(model: RiskModel):
             )
 
 
-def _sample(model: RiskModel, alternative: Alternative, horizon: float, seeds):
+# numpy's Poisson sampler refuses a larger mean. A mean below it also keeps
+# the draws and their sums inside int64.
+_POISSON_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
+
+
+def _drawable(relation: InitiateRel | LeadsToRel, expected: float, per: str) -> float:
+    if not expected <= _POISSON_MAX:
+        kind = "initiate" if isinstance(relation, InitiateRel) else "leadsto"
+        raise OracleError(
+            f"{kind} {relation.source}->{relation.target}: expected {expected:g} events"
+            f" {per}, above numpy's Poisson limit {_POISSON_MAX:.4g}"
+        )
+    return expected
+
+
+def _sample(model: RiskModel, alternative: Alternative, horizon: float, seeds, counts=False):
     """Per seed, the sampled events of every core vertex and those that survive.
 
     Checks and compiles the model once (the plan, expected initiate counts,
     likelihoods and the effective effects of the selected treats relations),
     then yields ``(samples, surviving)`` per seed: ``samples`` lists ``(vertex,
-    treats, times, tags)`` in plan order, one boolean row of ``tags`` per
-    selected treats relation; ``surviving`` maps vertex ids to untagged times.
+    treats, events, tags)`` in plan order, one boolean row of ``tags`` per
+    selected treats relation; ``surviving`` maps vertex ids to the untagged
+    events. The events are sorted times, or with ``counts`` only their number.
+    Both modes make the same draws, so their counts and tags are equal.
     """
     _check_point_model(model)
     if not 0 < horizon < math.inf:  # also NaN
@@ -158,38 +175,63 @@ def _sample(model: RiskModel, alternative: Alternative, horizon: float, seeds):
         (
             v,
             treats,
-            [r.frequency.per_period(model.base_period).lo * horizon for r in initiates],
-            [(r.source, r.likelihood.lo) for r in leadsto],
             [
-                effective_effect(t, alternative, model.depends)[0].lo
-                for t in treats
-                if t.countermeasure in alternative
+                _drawable(
+                    r, r.frequency.per_period(model.base_period).lo * horizon, "over the horizon"
+                )
+                for r in initiates
             ],
+            [(r, _drawable(r, r.likelihood.lo, "per source event")) for r in leadsto],
+            np.reshape(
+                [
+                    effective_effect(t, alternative, model.depends)[0].lo
+                    for t in treats
+                    if t.countermeasure in alternative
+                ],
+                (-1, 1),
+            ),
         )
         for v, initiates, leadsto, treats in evaluation_plan(model)
     ]
     for seed in seeds:
         rng = np.random.default_rng(seed)
         samples = []
-        surviving: dict[str, np.ndarray] = {}
+        surviving: dict[str, np.ndarray | int] = {}
         for v, treats, expected, sources, effects in compiled:
-            incoming = [np.sort(rng.uniform(0.0, horizon, size=rng.poisson(n))) for n in expected]
-            for source, likelihood in sources:
-                src = surviving[source]
-                incoming.append(np.repeat(src, rng.poisson(likelihood, size=len(src))))
+            incoming = []
+            for n in expected:
+                k = rng.poisson(n)
+                if counts:
+                    # Skip the k uniforms of the times: Generator.uniform takes
+                    # one 64-bit draw per double, and PCG64 jumps ahead.
+                    rng.bit_generator.advance(k)
+                    incoming.append(k)
+                else:
+                    incoming.append(np.sort(rng.uniform(0.0, horizon, size=k)))
+            for r, likelihood in sources:
+                src = surviving[r.source]
+                n = src if counts else len(src)
+                _drawable(r, likelihood * n, f"from {n} source events")
+                spawned = rng.poisson(likelihood, size=n)
+                incoming.append(int(spawned.sum()) if counts else np.repeat(src, spawned))
             if not incoming:
-                times = np.empty(0)
+                events = 0 if counts else np.empty(0)
             elif v.merge_policy is MergePolicy.EXCLUSIVE:
                 # Mutually exclusive contributions denote the same event class
                 # reached along different paths: realize the identical-set case.
-                times = incoming[0]
+                events = incoming[0]
             else:
-                times = np.sort(np.concatenate(incoming))
+                events = sum(incoming) if counts else np.sort(np.concatenate(incoming))
             # rng.random fills row by row: the draws of one call per selected
             # treats relation, in plan order.
-            tags = rng.random((len(effects), len(times))) < np.reshape(effects, (-1, 1))
-            surviving[v.id] = times[~tags.any(axis=0)]
-            samples.append((v, treats, times, tags))
+            tags = rng.random((len(effects), events if counts else len(events))) < effects
+            if not counts:
+                surviving[v.id] = events[~tags.any(axis=0)]
+            elif len(tags):  # without a row, tags.any would allocate one bool per event
+                surviving[v.id] = events - np.count_nonzero(tags.any(axis=0))
+            else:
+                surviving[v.id] = events
+            samples.append((v, treats, events, tags))
         yield samples, surviving
 
 
@@ -236,6 +278,8 @@ class Verdict:
     def to_json(self) -> dict:
         doc = asdict(self)
         doc["pass"] = doc.pop("passed")
+        if not math.isfinite(self.z):  # no z at zero spread: strict JSON has no inf
+            doc["z"] = None
         return doc | {"rng": RNG_ALGORITHM}
 
 
@@ -338,8 +382,8 @@ def check_rule(
     vertex over independent histories; pass iff within 3 standard errors."""
     if rule not in RULES:
         raise OracleError(f"unknown rule {rule!r}; expected one of {RULES}")
-    if runs < 1:
-        raise OracleError(f"runs must be at least 1, not {runs}")
+    if runs < 2:  # the standard error needs two runs
+        raise OracleError(f"runs must be at least 2, not {runs}")
     if seed < 0:
         raise OracleError(f"seed must be nonnegative, not {seed}")
     _check_point_model(instance)
@@ -352,12 +396,18 @@ def check_rule(
     # Every tag comes from a selected countermeasure, so the survivors are the
     # untreated events that empirical_frequency counts.
     seeds = map(int, np.random.SeedSequence(seed).generate_state(runs))
-    samples = _sample(instance, alternative, horizon, seeds)
-    estimates = np.array([len(surviving[vertex]) / horizon for _, surviving in samples])
-    mean = float(estimates.mean())
-    se = float(estimates.std(ddof=1) / math.sqrt(runs)) if runs > 1 else 0.0
+    samples = _sample(instance, alternative, horizon, seeds, counts=True)
+    estimates = np.array([surviving[vertex] / horizon for _, surviving in samples])
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        mean = float(estimates.mean())
+        se = float(estimates.std(ddof=1) / math.sqrt(runs))
+    if not math.isfinite(mean + se):
+        raise OracleError(
+            f"vertex {vertex!r}: the empirical frequency overflows (mean {mean:g},"
+            f" standard error {se:g})"
+        )
     if se == 0.0:
-        z = 0.0 if mean == calc else math.inf
+        z = 0.0 if mean == calc else math.copysign(math.inf, mean - calc)
     else:
         z = (mean - calc) / se
     return Verdict(rule, runs, horizon, calc, mean, se, float(z), abs(z) <= 3.0)

@@ -212,7 +212,9 @@ def test_simulate(rule_path, capsys):
         "--horizon=0",
         "--runs=-3",
         "--runs=0",
+        "--runs=1",
         "--seed=-1",
+        "--horizon=1e300",
     ],
 )
 def test_simulate_rejects_a_bad_numeric_argument(rule_path, argument, capsys):
@@ -222,6 +224,30 @@ def test_simulate_rejects_a_bad_numeric_argument(rule_path, argument, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_simulate_writes_no_z_at_zero_spread(rule_path, capsys):
+    # No event falls into the horizon, so every run reads 0 and the spread is 0.
+    args = ["simulate", rule_path, "--rule", "leads_to", "--runs", "3", "--horizon", "1e-300"]
+    assert run(args) == 0
+    out = capsys.readouterr().out
+    assert out == (
+        '{\n  "rule": "leads_to",\n  "runs": 3,\n  "horizon": 1e-300,\n'
+        '  "calculus_value": 2.4000000000000004,\n  "empirical_mean": 0.0,\n'
+        '  "std_error": 0.0,\n  "z": null,\n  "pass": false,\n  "rng": "numpy-pcg64"\n}\n'
+    )
+
+
+def test_simulate_rejects_an_overflowing_frequency(tmp_path, capsys):
+    path = tmp_path / "huge.riskdsl"
+    path.write_text(RULE_FILE.replace("frequency 3:1y", "frequency 1e170:1y"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy RuntimeWarning either
+        args = ["simulate", str(path), "--rule", "leads_to", "--runs", "3", "--horizon", "1e-166"]
+        assert run(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: vertex 'B': the empirical frequency overflows")
 
 
 def test_export_roundtrip_via_cli(ehealth_path, tmp_path, capsys):

@@ -7,6 +7,7 @@ from riskforge import (
     AcceptanceCriterion,
     CalculusError,
     Countermeasure,
+    DslSemanticError,
     Frequency,
     InitiateRel,
     Interval,
@@ -18,6 +19,7 @@ from riskforge import (
     Vertex,
     VertexKind,
     normalize,
+    parse,
     recommend,
     validate,
 )
@@ -282,6 +284,19 @@ def _huge_per_day(model: RiskModel, slot: str) -> RiskModel:
 def test_validate_rejects_numbers_infinite_per_base_period(ehealth, slot, message):
     broken = _huge_per_day(replace(ehealth, treats=(), depends=()), slot)
     assert [d.message for d in validate(broken) if d.is_error] == [message]
+
+
+@pytest.mark.parametrize("unit, loads", [("1y", True), ("10y", False)])
+def test_an_expenditure_rescales_without_a_spurious_overflow(unit, loads):
+    text = (
+        f'riskmodel "m" timeunit {unit}\nthreat T\nincident A consequence 1\n'
+        "initiate T -> A frequency 1:1y\ncountermeasure d cost 1e308:1y\n"
+    )
+    if loads:  # 1e308 * 360 overflows, 1e308 per year does not
+        assert parse(text).countermeasure("d").expenditure_per(Period(1, "y")) == 1e308
+    else:
+        with pytest.raises(DslSemanticError, match="expenditure of 'd' is not a finite number"):
+            parse(text)
 
 
 def _bfs(edges, starts):

@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riskforge import (
     CalculusError,
@@ -281,12 +283,28 @@ def test_check_rule_builds_no_events(monkeypatch):
         assert check_rule(rule, random_rule_instance(rule, rng), runs=3, horizon=50.0).runs == 3
 
 
+def _assert_modes_agree(instance, alternative, horizon, seeds):
+    """The count mode draws what the times mode draws, vertex by vertex."""
+    from riskforge.oracle import _sample
+
+    by_time = _sample(instance, alternative, horizon, seeds)
+    by_count = _sample(instance, alternative, horizon, seeds, counts=True)
+    counts = []
+    for (times_samples, times_left), (count_samples, count_left) in zip(by_time, by_count):
+        assert {s[0].id for s in count_samples} == {v.id for v in instance.core_vertices}
+        for (v, _, times, tags), (_, _, n, count_tags) in zip(times_samples, count_samples):
+            assert n == len(times)
+            assert np.array_equal(count_tags, tags)
+            assert count_left[v.id] == len(times_left[v.id])
+        counts.append(count_left)
+    return counts
+
+
 @pytest.mark.parametrize("rule", RULES)
 def test_sampler_survivors_are_the_history_frequency(rule):
     # check_rule and generate_history share one sampler; the survivors it
-    # counts must be what empirical_frequency reads off the public history.
-    from riskforge.oracle import _sample
-
+    # counts, in either mode, must be what empirical_frequency reads off the
+    # public history at every core vertex.
     rng = np.random.default_rng(RULES.index(rule))
     instance = random_rule_instance(rule, rng)
     vertex = conclusion_vertex(instance)
@@ -296,13 +314,88 @@ def test_sampler_survivors_are_the_history_frequency(rule):
         seeds = [int(s) for s in np.random.SeedSequence(seed).generate_state(runs)]
         for alternative in (frozenset(), frozenset(cms), frozenset(cms[:1])):
             histories = [generate_history(instance, alternative, horizon, s) for s in seeds]
-            from_history = [empirical_frequency(h, vertex, alternative) for h in histories]
-            samples = _sample(instance, alternative, horizon, seeds)
-            sampled = [len(surviving[vertex]) / horizon for _, surviving in samples]
-            assert sampled == from_history
+            counts = _assert_modes_agree(instance, alternative, horizon, seeds)
+            for h, left in zip(histories, counts):
+                for v in instance.core_vertices:
+                    assert left[v.id] / horizon == empirical_frequency(h, v.id, alternative)
             if alternative == frozenset(cms):
+                from_history = [empirical_frequency(h, vertex, alternative) for h in histories]
                 verdict = check_rule(rule, instance, runs=runs, horizon=horizon, seed=seed)
                 assert verdict.empirical_mean == float(np.mean(from_history))
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(
+    rule=st.sampled_from(RULES),
+    instance_seed=st.integers(0, 2**32 - 1),
+    seed=st.integers(0, 2**63 - 1),
+    horizon=st.floats(1e-3, 1000.0),
+    subset=st.integers(0, 3),
+)
+def test_count_mode_draws_the_times_mode_stream(rule, instance_seed, seed, horizon, subset):
+    instance = random_rule_instance(rule, np.random.default_rng(instance_seed))
+    ids = sorted(c.id for c in instance.countermeasures)
+    alternative = frozenset(c for i, c in enumerate(ids) if subset >> i & 1)
+    _assert_modes_agree(instance, alternative, horizon, [seed, seed + 1])
+
+
+def test_count_mode_counts_an_event_once_under_several_tags():
+    # No rule instance treats one vertex twice: two rows of tags at B, one at A.
+    m = _chain(
+        4.0,
+        1.5,
+        countermeasures=[Countermeasure(c, per=YEAR) for c in ("c", "d", "e")],
+        treats=[
+            TreatsRel("c", "A", pt(0.3), pt(0.0)),
+            TreatsRel("d", "B", pt(0.4), pt(0.0)),
+            TreatsRel("e", "B", pt(0.5), pt(0.0)),
+        ],
+    )
+    for mask in range(8):
+        alternative = frozenset(c for i, c in enumerate("cde") if mask >> i & 1)
+        _assert_modes_agree(m, alternative, 50.0, range(6))
+
+
+def test_check_rule_needs_two_runs():
+    with pytest.raises(OracleError, match="^runs must be at least 2, not 1$"):
+        check_rule("leads_to", _chain(3.0, 0.8), runs=1, horizon=100.0)
+
+
+def test_a_zero_spread_away_from_the_calculus_has_no_z():
+    # No event falls into so short a horizon: every run reads 0, below 2.4.
+    v = check_rule("leads_to", _chain(3.0, 0.8), runs=3, horizon=1e-300)
+    assert (v.empirical_mean, v.std_error, v.z, v.passed) == (0.0, 0.0, -np.inf, False)
+    doc = v.to_json()
+    assert doc["z"] is None and doc["pass"] is False
+    assert check_rule("leads_to", _chain(0.0, 0.8), runs=3, horizon=100.0).to_json()["z"] == 0.0
+
+
+@pytest.mark.parametrize(
+    "model, horizon, message",
+    [
+        (_chain(3.0, 0.8), 1e300, r"initiate T->A: expected 3e\+300 events over the horizon"),
+        (_chain(3.0, 1e19), 10.0, r"leadsto A->B: expected 1e\+19 events per source event"),
+        (
+            _chain(3.0, 1e18),
+            10.0,
+            r"leadsto A->B: expected [0-9.]+e\+19 events from \d+ source events",
+        ),
+    ],
+    ids=["initiate", "likelihood", "spawned"],
+)
+def test_a_count_beyond_the_poisson_limit_is_an_error(model, horizon, message):
+    pattern = f"^{message}, above numpy's Poisson limit 9.223e\\+18$"
+    with pytest.raises(OracleError, match=pattern):
+        check_rule("leads_to", model, runs=3, horizon=horizon)
+    with pytest.raises(OracleError, match=pattern):
+        generate_history(model, frozenset(), horizon, seed=0)
+
+
+def test_an_overflowing_empirical_frequency_is_an_error():
+    # About 8,000 events at B per run of 1e-166 years: each run reads about
+    # 8e169 a year, and the squared spread of the runs overflows.
+    with pytest.raises(OracleError, match="^vertex 'B': the empirical frequency overflows"):
+        check_rule("leads_to", _chain(1e170, 0.8), runs=3, horizon=1e-166)
 
 
 def test_generate_history_rejects_disagreeing_exclusive_contributions(monkeypatch):
