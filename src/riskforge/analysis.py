@@ -8,7 +8,7 @@ from itertools import chain, compress, islice
 
 import numpy as np
 
-from .calculus import Alternative, _check_valid, evaluation_plan
+from .calculus import Alternative, _check_valid, cone, evaluation_plan
 from .engine import DEFAULT_SUBSET_CAP, ArraySequence, CompiledModel, _selected, joined
 from .intervals import Interval, midpoint
 from .model import RiskModel, VertexKind
@@ -119,13 +119,9 @@ def applicable_countermeasures(model: RiskModel, risk: str) -> set[str]:
     if kind is not VertexKind.UNWANTED_INCIDENT:
         raise AnalysisError(f"{risk!r} is not an unwanted incident")
     _check_valid(model)
-    # Backwards over the plan, every vertex comes after all those it feeds.
-    relevant, cms = {risk}, set()
-    for v, _, leadsto, treats in reversed(evaluation_plan(model)):
-        if v.id in relevant:
-            relevant.update(r.source for r in leadsto)
-            cms.update(t.countermeasure for t in treats)
-    return cms
+    plan = evaluation_plan(model)
+    reached = cone(plan, [risk])
+    return {t.countermeasure for v, _, _, treats in plan if v.id in reached for t in treats}
 
 
 def enumerate_states(model: RiskModel, risk: str, cap: int = DEFAULT_SUBSET_CAP) -> States:

@@ -140,6 +140,19 @@ def evaluation_plan(model: RiskModel) -> list[tuple[Vertex, list, list, list]]:
     return [(core[vid], initiates[vid], leadsto[vid], treats[vid]) for vid in order]
 
 
+def cone(plan: list[tuple[Vertex, list, list, list]], targets: Iterable[str]) -> set[str]:
+    """Ids of the vertices whose frequency reaches a target, targets included.
+
+    One pass backwards over an ``evaluation_plan``, in which every vertex
+    comes after all those that feed it.
+    """
+    reached = set(targets)
+    for v, _, leadsto, _ in reversed(plan):
+        if v.id in reached:
+            reached.update(r.source for r in leadsto)
+    return reached
+
+
 def propagate(model: RiskModel, alternative: Alternative) -> dict[str, VertexResult]:
     """Residual (frequency, consequence) for every core vertex.
 

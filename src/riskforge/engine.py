@@ -1,11 +1,12 @@
 """Compiled evaluation of one model under many countermeasure subsets at once.
 
-``CompiledModel`` validates a model once and flattens it into index tables.
-``evaluate`` then computes the residual frequency and consequence of the
-requested vertices for a batch of subsets, one numpy column per subset. Every
-value is bit-for-bit the one ``calculus.propagate`` gives, because each column
-goes through the same floating-point operations in the same order. Both walk
-``calculus.evaluation_plan``, the one place that order is decided:
+``CompiledModel`` validates a model once and keeps the part of
+``calculus.evaluation_plan`` that its outputs need. ``evaluate`` then walks
+that plan as ``propagate`` does and computes the residual frequency and
+consequence of the requested vertices for a batch of subsets, one numpy
+column per subset. Every value is bit-for-bit the one ``propagate`` gives,
+because each column goes through the same floating-point operations in the
+same order, which the plan decides:
 
 - vertices come in topological order; contributions are merged initiates
   first, then leads-to, each sorted by source; overlapping fan-in takes
@@ -23,14 +24,13 @@ bounds memory at any n up to the enumeration cap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .calculus import EXCLUSIVE_REL_TOL, _check_valid, combine_incoming, evaluation_plan
+from .calculus import EXCLUSIVE_REL_TOL, _check_valid, combine_incoming, cone, evaluation_plan
 from .intervals import Interval
-from .model import MergePolicy, RiskModel
+from .model import MergePolicy, RiskModel, TreatsRel
 
 DEFAULT_SUBSET_CAP = 20
 CHUNK = 1 << 14  # subset columns evaluated together
@@ -38,34 +38,16 @@ CHUNK = 1 << 14  # subset columns evaluated together
 Columns = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]  # freq lo, hi; cons lo, hi
 
 
-@dataclass(frozen=True)
-class _Treat:
-    bit: int
-    effect: tuple[float, float, float, float]  # freq lo, hi, cons lo, hi
-    # (depender bit, surviving fraction of each effect endpoint), model order
-    depends: tuple[tuple[int, float, float, float, float], ...]
-
-
-@dataclass(frozen=True)
-class _Vertex:
-    id: str
-    policy: MergePolicy
-    initiates: tuple[tuple[float, float], ...]  # constant contributions
-    leadsto: tuple[tuple[int, float, float], ...]  # (source position, likelihood lo, hi)
-    consequence: tuple[float, float]
-    treats: tuple[_Treat, ...]  # in effect order when no effect varies
-    output: bool
-    release: tuple[int, ...]  # positions whose frequency is no longer needed
-
-
 class CompiledModel:
-    """A validated model flattened for batched evaluation.
+    """A validated model, kept as the evaluation plan its outputs need.
 
     ``countermeasures`` are the ids that may be selected (default: all of the
     model's, sorted); ``outputs`` the core vertices whose values ``evaluate``
-    returns (default: all, in topological order). Vertices that feed no
-    output are skipped, except that every mutually exclusive merge is still
-    checked, so an evaluation fails exactly where ``propagate`` would.
+    returns (default: all, in topological order). The plan keeps the cone of
+    the outputs and of every mutually exclusive merge, so an evaluation fails
+    exactly where ``propagate`` would. Per vertex, the constructor also keeps
+    its selectable treats relations, each with its selectable dependers, and
+    the vertices whose frequencies are no longer read once it is evaluated.
     """
 
     def __init__(
@@ -78,8 +60,7 @@ class CompiledModel:
         if countermeasures is None:
             countermeasures = sorted(c.id for c in model.countermeasures)
         self.countermeasures = tuple(countermeasures)
-        bit = {c: i for i, c in enumerate(self.countermeasures)}
-        base = model.base_period
+        self._base = base = model.base_period
         self.expenditures = tuple(
             model.countermeasure(c).expenditure_per(base) for c in self.countermeasures
         )
@@ -88,64 +69,37 @@ class CompiledModel:
 
         plan = evaluation_plan(model)
         self.outputs = tuple(v.id for v, *_ in plan) if outputs is None else tuple(outputs)
-        outputs_set = set(self.outputs)
-        # Backwards over the plan, every vertex comes after all those it feeds.
-        needed = set(self.outputs)
-        for v, initiates, leadsto, _ in reversed(plan):
-            if v.merge_policy is MergePolicy.EXCLUSIVE and len(initiates) + len(leadsto) > 1:
-                needed.add(v.id)
-            if v.id in needed:
-                needed.update(r.source for r in leadsto)
-        plan = [entry for entry in plan if entry[0].id in needed]
-        position = {v.id: p for p, (v, *_) in enumerate(plan)}
-        last_use = dict(position)
-        for p, (_, _, leadsto, _) in enumerate(plan):
-            for r in leadsto:
-                last_use[r.source] = p
-        release: dict[int, list[int]] = {}
-        for vid, p in last_use.items():
-            if vid not in outputs_set:
-                release.setdefault(p, []).append(position[vid])
+        checked = (
+            v.id
+            for v, initiates, leadsto, _ in plan
+            if v.merge_policy is MergePolicy.EXCLUSIVE and len(initiates) + len(leadsto) > 1
+        )
+        needed = cone(plan, [*self.outputs, *checked])
+        self._plan = [entry for entry in plan if entry[0].id in needed]
 
-        compiled = []
-        for p, (v, initiates, leadsto, treats) in enumerate(plan):
-            effects = []
-            for t in treats:
-                if t.countermeasure not in bit:
-                    continue
-                deps = tuple(
-                    (
-                        bit[d.countermeasure],
-                        1.0 - d.freq_dep.hi,
-                        1.0 - d.freq_dep.lo,
-                        1.0 - d.cons_dep.hi,
-                        1.0 - d.cons_dep.lo,
-                    )
-                    for d in model.depends
-                    if d.treats_key == t.key and d.countermeasure in bit
-                )
-                effect = (t.freq_effect.lo, t.freq_effect.hi, t.cons_effect.lo, t.cons_effect.hi)
-                effects.append(_Treat(bit[t.countermeasure], effect, deps))
-            if not any(t.depends for t in effects):
-                effects.sort(key=lambda t: t.effect)
-            frequencies = [r.frequency.per_period(base) for r in initiates]
-            compiled.append(
-                _Vertex(
-                    id=v.id,
-                    policy=v.merge_policy,
-                    initiates=tuple((f.lo, f.hi) for f in frequencies),
-                    leadsto=tuple(
-                        (position[r.source], r.likelihood.lo, r.likelihood.hi) for r in leadsto
-                    ),
-                    consequence=(0.0, 0.0)
-                    if v.consequence is None
-                    else (v.consequence.lo, v.consequence.hi),
-                    treats=tuple(effects),
-                    output=v.id in outputs_set,
-                    release=tuple(release.get(p, ())),
-                )
-            )
-        self._plan = tuple(compiled)
+        selectable, outputs = set(self.countermeasures), set(self.outputs)
+        dependers: dict[tuple, list] = {}  # treats key -> selectable dependers, model order
+        for d in model.depends:
+            if d.countermeasure in selectable:
+                dependers.setdefault(d.treats_key, []).append(d)
+        # vertex -> [(selectable treats, its dependers)], in effect order when
+        # no effect has a depender
+        self._treats: dict[str, list[tuple[TreatsRel, list]]] = {}
+        last_reader = {}
+        for v, _, leadsto, treats in self._plan:
+            effects = [
+                (t, dependers.get(t.key, [])) for t in treats if t.countermeasure in selectable
+            ]
+            if not any(depends for _, depends in effects):
+                effects.sort(key=lambda e: _endpoints(e[0]))
+            self._treats[v.id] = effects
+            last_reader[v.id] = v.id
+            last_reader.update((r.source, v.id) for r in leadsto)
+        # vertex -> the non-output vertices whose frequencies it reads last
+        self._release: dict[str, list[str]] = {}
+        for vid, reader in last_reader.items():
+            if vid not in outputs:
+                self._release.setdefault(reader, []).append(vid)
 
     def expenditure(self, masks: np.ndarray) -> np.ndarray:
         """Summed expenditure per mask, added in countermeasure-id order."""
@@ -168,23 +122,25 @@ class CompiledModel:
         mask whose mutually exclusive contributions disagree.
         """
         m = len(masks)
-        selected = _selected(masks, len(self.countermeasures))
-        lows: list = [None] * len(self._plan)
-        highs: list = [None] * len(self._plan)
+        on = dict(zip(self.countermeasures, _selected(masks, len(self.countermeasures))))
+        outputs = set(self.outputs)
+        frequencies: dict[str, tuple] = {}  # vertex -> (lo, hi), until its last reader
         exclusive: list[tuple[str, list]] = []
         out: dict[str, Columns] = {}
-        for p, v in enumerate(self._plan):
-            contributions = list(v.initiates) + [
-                (lows[s] * l_lo, highs[s] * l_hi) for s, l_lo, l_hi in v.leadsto
-            ]
+        for v, initiates, leadsto, _ in self._plan:
+            rates = (r.frequency.per_period(self._base) for r in initiates)
+            contributions = [(f.lo, f.hi) for f in rates]
+            for r in leadsto:
+                s_lo, s_hi = frequencies[r.source]
+                contributions.append((s_lo * r.likelihood.lo, s_hi * r.likelihood.hi))
             if not contributions:
                 lo = hi = 0.0
-            elif v.policy is MergePolicy.SEPARATE:
+            elif v.merge_policy is MergePolicy.SEPARATE:
                 lo, hi = contributions[0]
                 for c_lo, c_hi in contributions[1:]:
                     lo = lo + c_lo
                     hi = hi + c_hi
-            elif v.policy is MergePolicy.EXCLUSIVE:
+            elif v.merge_policy is MergePolicy.EXCLUSIVE:
                 lo, hi = contributions[0]
                 if len(contributions) > 1:
                     exclusive.append((v.id, contributions))
@@ -193,15 +149,16 @@ class CompiledModel:
                 for c_lo, c_hi in contributions:
                     lo = np.where(c_lo > lo, c_lo, lo)  # first maximum, as max() keeps
                     hi = hi + c_hi
-            if v.output:
-                c_lo, c_hi = v.consequence
-                lo, hi, c_lo, c_hi = _apply(v.treats, selected, lo, hi, c_lo, c_hi)
+            treats = self._treats[v.id]
+            if v.id in outputs:
+                cons = (0.0, 0.0) if v.consequence is None else (v.consequence.lo, v.consequence.hi)
+                lo, hi, c_lo, c_hi = _apply(treats, on, lo, hi, *cons)
                 out[v.id] = tuple(np.broadcast_to(x, (m,)) for x in (lo, hi, c_lo, c_hi))
             else:
-                lo, hi = _apply(v.treats, selected, lo, hi)
-            lows[p], highs[p] = lo, hi
-            for q in v.release:
-                lows[q] = highs[q] = None
+                lo, hi = _apply(treats, on, lo, hi)
+            frequencies[v.id] = lo, hi
+            for u in self._release.get(v.id, ()):
+                del frequencies[u]
         if exclusive:
             _check_exclusive(exclusive, m)
         return out
@@ -234,18 +191,25 @@ def _selected(masks, n: int) -> np.ndarray:
     return np.bitwise_and.outer(1 << np.arange(n), masks) != 0
 
 
-def _apply(treats: tuple[_Treat, ...], selected: np.ndarray, *values):
+def _endpoints(t: TreatsRel) -> tuple[float, float, float, float]:
+    return t.freq_effect.lo, t.freq_effect.hi, t.cons_effect.lo, t.cons_effect.hi
+
+
+def _apply(treats: list[tuple[TreatsRel, list]], on: dict[str, np.ndarray], *values):
     """Multiply (freq lo, hi[, cons lo, hi]) by the surviving fraction of each
-    selected effect, in ascending effect order per column."""
+    selected effect, in ascending effect order per column; ``on`` says per
+    countermeasure id which columns select it."""
     if not treats:
         return values
     effects = []
-    for t in treats:
-        e = t.effect
-        for b, *surviving in t.depends:
-            e = [np.where(selected[b], x * s, x) for x, s in zip(e, surviving)]
-        effects.append([np.where(selected[t.bit], x, 0.0) for x in e])
-    if len(treats) > 1 and any(t.depends for t in treats):
+    for t, depends in treats:
+        e = _endpoints(t)
+        for d in depends:
+            f, c = d.freq_dep.complement(), d.cons_dep.complement()
+            surviving = f.lo, f.hi, c.lo, c.hi
+            e = [np.where(on[d.countermeasure], x * s, x) for x, s in zip(e, surviving)]
+        effects.append([np.where(on[t.countermeasure], x, 0.0) for x in e])
+    if len(treats) > 1 and any(depends for _, depends in treats):
         stacked = np.array(effects)  # (effect, endpoint, column)
         rank = np.lexsort(stacked.transpose(1, 0, 2)[::-1], axis=0)
         effects = np.take_along_axis(stacked, rank[:, None, :], axis=0)
@@ -266,24 +230,14 @@ def _unequal(a, b) -> np.ndarray:
 
 def _check_exclusive(exclusive: list[tuple[str, list]], m: int):
     """Raise the scalar merge error for the first column with a disagreement."""
-    first_bad = m
+    bad = np.zeros(m, dtype=bool)
     for _, contributions in exclusive:
         f_lo, f_hi = contributions[0]
         for c_lo, c_hi in contributions[1:]:
-            bad = np.broadcast_to(_unequal(f_lo, c_lo) | _unequal(f_hi, c_hi), (m,))
-            if bad.any():
-                first_bad = min(first_bad, int(bad.argmax()))
-    if first_bad == m:
+            bad |= _unequal(f_lo, c_lo) | _unequal(f_hi, c_hi)
+    if not bad.any():
         return
+    j = int(bad.argmax())
     for vid, contributions in exclusive:
-        combine_incoming(
-            [
-                Interval(
-                    float(np.broadcast_to(lo, (m,))[first_bad]),
-                    float(np.broadcast_to(hi, (m,))[first_bad]),
-                )
-                for lo, hi in contributions
-            ],
-            MergePolicy.EXCLUSIVE,
-            vid,
-        )
+        at_j = [Interval(*(float(np.broadcast_to(x, (m,))[j]) for x in c)) for c in contributions]
+        combine_incoming(at_j, MergePolicy.EXCLUSIVE, vid)

@@ -53,6 +53,13 @@ class Period:
     def days(self) -> float:
         return self.magnitude * _UNIT_DAYS[self.unit]
 
+    def rescale(self, value: float, target: Period) -> float:
+        """``value`` per this period as a value per ``target``: the product with
+        the target's days first, and the ratio of the days first only where that
+        product is not finite, so that every finite result keeps its bits."""
+        scaled = value * target.days / self.days
+        return scaled if math.isfinite(scaled) else value * (target.days / self.days)
+
     def __str__(self) -> str:
         return f"{self.magnitude}{self.unit}"
 
@@ -113,11 +120,7 @@ class Countermeasure:
             raise ValueError("expenditure must be nonnegative")
 
     def expenditure_per(self, target: Period) -> float:
-        value = self.expenditure * target.days / self.per.days
-        if math.isfinite(value):
-            return value
-        # The product can overflow where the value per target period does not.
-        return self.expenditure * (target.days / self.per.days)
+        return self.per.rescale(self.expenditure, target)
 
 
 @dataclass(frozen=True)
@@ -164,7 +167,7 @@ class AcceptanceCriterion:
             None if self.max_frequency is None else self.max_frequency.per_period(base).midpoint,
             None
             if self.max_risk_cost is None
-            else self.max_risk_cost * base.days / self.max_risk_cost_per.days,
+            else self.max_risk_cost_per.rescale(self.max_risk_cost, base),
         )
 
 

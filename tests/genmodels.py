@@ -18,6 +18,7 @@ from riskforge import (
     TreatsRel,
     Vertex,
     VertexKind,
+    parse,
     validate,
 )
 from riskforge.dsl import canonical
@@ -263,3 +264,14 @@ def _all_subsets(model: RiskModel, cap: int) -> list[frozenset]:
         frozenset(cms[i] for i in range(len(cms)) if mask >> i & 1)
         for mask in range(2 ** len(cms))
     ]
+
+
+def unreached_scenario_model() -> RiskModel:
+    """A treated scenario S with no incoming relation, feeding the incident R:
+    valid, with no warning, and S's frequency is 0 under every alternative."""
+    return parse(
+        'riskmodel "unreached" timeunit 1y\n'
+        "threat T\nscenario S\nincident R consequence 10\n"
+        "initiate T -> R frequency 2:1y\nleadsto S -> R likelihood 0.5\n"
+        "countermeasure c cost 1:1y\ntreats c -> S effect 0.5L 0C\n"
+    )

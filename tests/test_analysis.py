@@ -116,6 +116,16 @@ def test_decision_diagram_is_hypercube(ehealth):
         assert by_index[b].alternative == by_index[a].alternative | {cm}
 
 
+def test_edges_read_by_position_as_their_tuple(ehealth):
+    edges = build_decision_diagram(enumerate_states(ehealth, "LMD")).edges
+    listed = tuple(edges)
+    assert len(listed) == 12
+    assert edges[0] == listed[0]
+    assert edges[-1] == listed[-1]
+    assert edges[1:3] == listed[1:3]
+    assert all(type(x) is int for x in edges[0][:2])
+
+
 def test_decision_diagram_single_state(ehealth):
     states = enumerate_states(ehealth, "LMD")
     diagram = build_decision_diagram(states[:1])

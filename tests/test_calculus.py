@@ -18,7 +18,8 @@ from riskforge import (
     propagate,
     propagate_leadsto,
 )
-from riskforge.calculus import evaluation_plan
+from riskforge.analysis import applicable_countermeasures
+from riskforge.calculus import cone, evaluation_plan
 from dataclasses import replace
 
 from genmodels import random_alternative, random_model, sample_point_model
@@ -219,6 +220,32 @@ def test_evaluation_plan_matches_brute_force():
             exclusive=i % 2 == 0,
         )
         assert evaluation_plan(_shuffled(m, rng)) == evaluation_plan(m) == _brute_force_plan(m)
+
+
+def _reaching(model, targets) -> set:
+    """The targets and every vertex with a leads-to path to one, by fixpoint."""
+    reached = set(targets)
+    while True:
+        more = {r.source for r in model.leadsto if r.target in reached} - reached
+        if not more:
+            return reached
+        reached |= more
+
+
+def test_cone_is_reachability():
+    rng = np.random.default_rng(29)
+    for i in range(60):
+        m = random_model(
+            rng, max_scenarios=8, max_cms=6, allow_overlapping=True, exclusive=i % 2 == 0
+        )
+        plan = evaluation_plan(m)
+        ids = [v.id for v in m.core_vertices]
+        for k in (0, 1, 2, 4):
+            targets = [ids[j] for j in rng.choice(len(ids), size=min(k, len(ids)), replace=False)]
+            assert cone(plan, targets) == _reaching(m, targets)
+        for risk in (v.id for v in m.incidents):
+            treating = {t.countermeasure for t in m.treats if t.target in _reaching(m, [risk])}
+            assert applicable_countermeasures(m, risk) == treating
 
 
 def _shuffled(model, rng):

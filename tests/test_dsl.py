@@ -437,6 +437,11 @@ def test_json_unknown_key_is_an_error(path, name, message):
         (("leadsto", 0, "via"), "page\u2028break", "contains a double quote or a line break"),
         (("criteria", 0, "max_risk_cost", "value"), -5, "expected a nonnegative number"),
         (("criteria",), FULL_DOC["criteria"] * 2, "duplicate acceptance criterion for 'LMD'"),
+        (
+            ("leadsto", 0, "likelihood"),
+            [0.9, 0.1],
+            r"^leadsto\[0\]: bad likelihood: interval lower bound 0\.9 exceeds upper bound 0\.1$",
+        ),
     ],
     ids=[
         "vertex-id",
@@ -448,12 +453,20 @@ def test_json_unknown_key_is_an_error(path, name, message):
         "via-line-separator",
         "negative-cost-bound",
         "duplicate-criterion",
+        "reversed-interval",
     ],
 )
 def test_json_model_must_be_one_the_dsl_can_write(path, value, message):
     doc = _with(FULL_DOC, path, value)
     with pytest.raises(DslSemanticError, match=message):
         from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("value", [v for v in OTHER_TYPES if not isinstance(v, dict)])
+def test_json_top_level_value_must_be_an_object(value):
+    with pytest.raises(DslSemanticError) as exc:
+        from_json(json.dumps(value))
+    assert str(exc.value) == "top-level JSON value must be an object"
 
 
 THREAT_TO_R = "threat T\nincident R consequence 1\ninitiate T -> R frequency 1:1y\n"
@@ -506,6 +519,7 @@ THREAT_TO_R = "threat T\nincident R consequence 1\ninitiate T -> R frequency 1:1
             6,
             "leadsto A->R likelihood exceeds 1 (CORAS mode)",
         ),
+        (HEADER + HEADER + THREAT_TO_R, False, 2, "2:1: duplicate 'riskmodel' line"),
     ],
     ids=[
         "overflow-per-base-period",
@@ -516,6 +530,7 @@ THREAT_TO_R = "threat T\nincident R consequence 1\ninitiate T -> R frequency 1:1
         "duplicate-merge",
         "cycle",
         "coras-likelihood",
+        "second-header",
     ],
 )
 def test_semantic_error_points_at_its_statement(text, coras, line, message):

@@ -29,7 +29,7 @@ from riskforge import (
 from riskforge import engine
 from riskforge.analysis import applicable_countermeasures
 
-from genmodels import _all_subsets, random_model
+from genmodels import _all_subsets, random_model, unreached_scenario_model
 
 
 @pytest.fixture(autouse=True)
@@ -81,7 +81,7 @@ def test_gadget_is_opt_in():
 
 def test_every_vertex_matches_propagate():
     evaluations = 0
-    for model in _models(1, 60):
+    for model in [*_models(1, 60), unreached_scenario_model()]:
         compiled = CompiledModel(model)
         for masks, columns in compiled.chunks():
             for j, mask in enumerate(masks.tolist()):
@@ -222,3 +222,27 @@ def test_invalid_model_fails_before_evaluating(ehealth):
     broken = replace(ehealth, criteria=(), leadsto=ehealth.leadsto[:1])
     with pytest.raises(CalculusError, match="invalid model"):
         CompiledModel(broken)
+
+
+def test_a_frequency_is_freed_after_its_last_reader():
+    rng = np.random.default_rng(8)
+    unread = 0
+    for i, model in enumerate(_models(8, 30)):
+        ids = [v.id for v in model.core_vertices]
+        if model.has_vertex("XE") and i % 2 == 0:
+            outputs = ["XA"]  # XE is still checked, and nothing reads it
+        else:
+            outputs = list(rng.choice(ids, size=min(2, len(ids)), replace=False))
+        compiled = CompiledModel(model, outputs=outputs)
+        position = {v.id: p for p, (v, *_) in enumerate(compiled._plan)}
+        readers = {vid: {vid} for vid in position}
+        for v, _, leadsto, _ in compiled._plan:
+            for r in leadsto:
+                readers[r.source].add(v.id)
+        freed = {u: reader for reader, vids in compiled._release.items() for u in vids}
+        last = {vid: max(r, key=position.get) for vid, r in readers.items() if vid not in outputs}
+        assert freed == last
+        if outputs == ["XA"]:
+            assert freed["XE"] == "XE"
+            unread += 1
+    assert unread > 3

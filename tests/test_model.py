@@ -299,6 +299,29 @@ def test_an_expenditure_rescales_without_a_spurious_overflow(unit, loads):
             parse(text)
 
 
+@pytest.mark.parametrize("unit, loads", [("1y", True), ("10y", False)])
+def test_a_cost_bound_rescales_without_a_spurious_overflow(unit, loads):
+    text = (
+        f'riskmodel "m" timeunit {unit}\nthreat T\nincident A consequence 1\n'
+        "initiate T -> A frequency 1:1y\naccept A cost <= 1e308:1y\n"
+    )
+    if loads:  # as for an expenditure: 1e308 * 360 overflows, 1e308 per year does not
+        assert parse(text).criteria[0].bounds(Period(1, "y")) == (None, 1e308)
+    else:
+        with pytest.raises(DslSemanticError, match="cost bound for 'A' is not a finite number"):
+            parse(text)
+
+
+def test_a_finite_rescale_multiplies_before_it_divides():
+    # The two orders round 0.3 per year to different values per month.
+    assert 0.3 * 30.0 / 360.0 != 0.3 * (30.0 / 360.0)
+    assert Period(1, "y").rescale(0.3, Period(1, "m")) == 0.3 * 30.0 / 360.0
+    criterion = AcceptanceCriterion("A", max_risk_cost=0.3, max_risk_cost_per=Period(1, "y"))
+    assert criterion.bounds(Period(1, "m")) == (None, 0.3 * 30.0 / 360.0)
+    spend = Countermeasure("d", expenditure=0.3, per=Period(1, "y"))
+    assert spend.expenditure_per(Period(1, "m")) == 0.3 * 30.0 / 360.0
+
+
 def _bfs(edges, starts):
     """Every vertex reached from ``starts`` by one or more edges."""
     out = {}

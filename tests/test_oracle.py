@@ -33,6 +33,8 @@ from riskforge import (
 )
 from riskforge.oracle import RULES, ImpactMap, OracleError, conclusion_vertex
 
+from genmodels import unreached_scenario_model
+
 pt = Interval.point
 YEAR = Period(1, "y")
 
@@ -300,28 +302,45 @@ def _assert_modes_agree(instance, alternative, horizon, seeds):
     return counts
 
 
+def _survivors_per_alternative(instance, runs: int, horizon: float, seed: int):
+    """(alternative, histories) for the alternatives none, all and the first
+    countermeasure, after checking that the survivors the sampler counts, in
+    either mode, are what empirical_frequency reads off each public history at
+    every core vertex."""
+    cms = sorted(c.id for c in instance.countermeasures)
+    seeds = [int(s) for s in np.random.SeedSequence(seed).generate_state(runs)]
+    for alternative in (frozenset(), frozenset(cms), frozenset(cms[:1])):
+        histories = [generate_history(instance, alternative, horizon, s) for s in seeds]
+        counts = _assert_modes_agree(instance, alternative, horizon, seeds)
+        for h, left in zip(histories, counts):
+            for v in instance.core_vertices:
+                assert left[v.id] / horizon == empirical_frequency(h, v.id, alternative)
+        yield alternative, histories
+
+
 @pytest.mark.parametrize("rule", RULES)
 def test_sampler_survivors_are_the_history_frequency(rule):
-    # check_rule and generate_history share one sampler; the survivors it
-    # counts, in either mode, must be what empirical_frequency reads off the
-    # public history at every core vertex.
+    # check_rule and generate_history share one sampler.
     rng = np.random.default_rng(RULES.index(rule))
     instance = random_rule_instance(rule, rng)
     vertex = conclusion_vertex(instance)
     cms = sorted(c.id for c in instance.countermeasures)
     runs, horizon = 4, 60.0
     for seed in range(5):
-        seeds = [int(s) for s in np.random.SeedSequence(seed).generate_state(runs)]
-        for alternative in (frozenset(), frozenset(cms), frozenset(cms[:1])):
-            histories = [generate_history(instance, alternative, horizon, s) for s in seeds]
-            counts = _assert_modes_agree(instance, alternative, horizon, seeds)
-            for h, left in zip(histories, counts):
-                for v in instance.core_vertices:
-                    assert left[v.id] / horizon == empirical_frequency(h, v.id, alternative)
+        for alternative, histories in _survivors_per_alternative(instance, runs, horizon, seed):
             if alternative == frozenset(cms):
                 from_history = [empirical_frequency(h, vertex, alternative) for h in histories]
                 verdict = check_rule(rule, instance, runs=runs, horizon=horizon, seed=seed)
                 assert verdict.empirical_mean == float(np.mean(from_history))
+
+
+def test_sampler_survivors_at_a_vertex_with_no_incoming_relation():
+    model = unreached_scenario_model()
+    assert validate(model) == []
+    assert propagate(model, frozenset())["S"].frequency == pt(0.0)
+    for seed in range(3):
+        for alternative, histories in _survivors_per_alternative(model, 4, 60.0, seed):
+            assert all(empirical_frequency(h, "S", alternative) == 0.0 for h in histories)
 
 
 @settings(max_examples=80, deadline=None, database=None)
@@ -354,6 +373,47 @@ def test_count_mode_counts_an_event_once_under_several_tags():
     for mask in range(8):
         alternative = frozenset(c for i, c in enumerate("cde") if mask >> i & 1)
         _assert_modes_agree(m, alternative, 50.0, range(6))
+
+
+def _seven_core_vertices() -> RiskModel:
+    ids = [f"S{i}" for i in range(6)]
+    return RiskModel(
+        name="seven",
+        base_period=YEAR,
+        vertices=(
+            Vertex("T", VertexKind.THREAT),
+            *(Vertex(s, VertexKind.THREAT_SCENARIO) for s in ids),
+            Vertex("R", VertexKind.UNWANTED_INCIDENT, consequence=pt(1.0)),
+        ),
+        initiates=(InitiateRel("T", "S0", Frequency(pt(1.0), YEAR)),),
+        leadsto=tuple(LeadsToRel(a, b, pt(0.5)) for a, b in zip(ids, ids[1:] + ["R"])),
+    )
+
+
+def _undeclared_target() -> RiskModel:
+    model = unreached_scenario_model()  # parsed, so marked valid; the copy is not
+    return replace(model, leadsto=model.leadsto + (LeadsToRel("S", "X", pt(0.5)),))
+
+
+INVALID = "invalid model: leadsto S->X references an undeclared vertex"
+RUNNERS = {
+    "check_rule": lambda model: check_rule("leads_to", model, runs=3, horizon=10.0),
+    "generate_history": lambda model: generate_history(model, frozenset(), 10.0, seed=0),
+}
+
+
+@pytest.mark.parametrize(
+    "make, runner, message",
+    [
+        (_undeclared_target, "check_rule", INVALID),
+        (_undeclared_target, "generate_history", INVALID),
+        (_seven_core_vertices, "check_rule", "rule instances are limited to 6 core vertices"),
+    ],
+)
+def test_the_oracle_rejects_a_model_it_cannot_run(make, runner, message):
+    with pytest.raises(OracleError) as exc:
+        RUNNERS[runner](make())
+    assert str(exc.value) == message
 
 
 def test_check_rule_needs_two_runs():
